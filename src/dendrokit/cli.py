@@ -300,7 +300,11 @@ def nerve(ctx, operad_spec, terms, max_vertices, max_inputs, counts_only):
     carrier = _carrier(P, max_vertices, max_inputs, terms)
     X = dnd.nerve(P, trees=carrier)
     if counts_only:
-        counts = pmap(lambda t: (t.key, len(X.values(t))), carrier, ctx.obj["workers"])
+        counts = pmap(
+            lambda t: (t.key, sum(size for *_, size in X.value_blocks(t))),
+            carrier,
+            ctx.obj["workers"],
+        )
         emit_json({"operad": P.name, "values": {k: v for k, v in counts}})
         return
     table = dnd.materialize(X, carrier)

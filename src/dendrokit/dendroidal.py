@@ -327,8 +327,7 @@ class TableDendroidalSet:
     def restrict(self, m: OmegaMorphism):
         key = morphism_key(m)
         if key in self._actions:
-            table = self._actions[key]
-            return lambda el: table[el]
+            return self._lookup(m, self._actions[key])
         if m.source == m.target and m.is_isomorphism() and all(
             m(e) == e for e in m.source.edges
         ):
@@ -346,8 +345,7 @@ class TableDendroidalSet:
             if all(step(e) == e for e in step.source.edges) and step.source == step.target:
                 actions.append(lambda el: el)
             elif skey in self._actions:
-                table = self._actions[skey]
-                actions.append(lambda el, table=table: table[el])
+                actions.append(self._lookup(step, self._actions[skey]))
             else:
                 raise DomainError(
                     "missing generator action",
@@ -359,6 +357,22 @@ class TableDendroidalSet:
             for fn in reversed(actions):
                 element = fn(element)
             return element
+
+        return act
+
+    @staticmethod
+    def _lookup(m: OmegaMorphism, table):
+        """The stored action along `m`; a value it has no entry for raises
+        DomainError naming the morphism and the value."""
+
+        def act(el):
+            try:
+                return table[el]
+            except KeyError:
+                raise DomainError(
+                    "stored action has no entry for value",
+                    {"morphism": m.to_json(), "value": str(el)},
+                ) from None
 
         return act
 

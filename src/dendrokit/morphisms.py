@@ -14,6 +14,12 @@ vertices, classified inner/outer), degeneracies (unary vertex collapses),
 the degeneracies-then-faces factorization, subtree inclusions, and the
 predicates cutting out the standard subfamilies of trees (bounded valence,
 reduced trees, reduced and extended corollas).
+
+Elementary faces are constructed, not searched for: one inner face per
+inner-edge contraction, one outer face per removable top vertex, and one
+per root input whose siblings are all leaves.  Faces are deduplicated and
+ordered by a canonical orbit key under source automorphisms, computed by
+sorting isomorphic sibling blocks rather than enumerating the group.
 """
 
 from __future__ import annotations
@@ -26,14 +32,16 @@ from .errors import DomainError, charge
 from .trees import (
     LEAF,
     Tree,
-    automorphisms,
     canonicalize_node,
-    enumerate_trees_by_vertices,
     format_address,
     parse_address,
     parse_tree,
     reduced_corolla,
 )
+
+# Bound on the per-tree memos (operation input sets, elementary faces); it
+# stays above the largest carrier the library enumerates by default.
+_CACHE_SIZE = 4096
 
 # -- operations of the operad generated by a tree -------------------------
 
@@ -112,7 +120,7 @@ def _op_exists(t, output, inputs):
     return OpWitness(output, inputs, tuple(children), perm)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _input_sets(t: Tree):
     """For every edge `e`: the frozensets I carrying an operation (I; e).
 
@@ -175,17 +183,6 @@ class OmegaMorphism:
 
     def __call__(self, addr):
         return self._map[addr]
-
-    def witnesses(self):
-        """Operation witness in the target per source vertex."""
-        return {
-            v: operation_exists(
-                self.target,
-                self._map[v],
-                tuple(self._map[c] for c in self.source.children(v)),
-            )
-            for v in self.source.vertices
-        }
 
     def is_injective(self):
         return len(set(self._items)) == len(self._items)
@@ -428,42 +425,94 @@ class Face:
 
 
 def _orbit_key(m: OmegaMorphism):
-    """Canonical representative of m under precomposition with Aut(source)."""
-    edges = m.source.edges
-    return min(tuple(m(alpha[e]) for e in edges) for alpha in automorphisms(m.source))
+    """Canonical representative of m under precomposition with Aut(source):
+    the lexicographically least ``tuple(m(alpha(e)) for e in source.edges)``
+    over all automorphisms alpha.
+
+    Edges are in preorder, so the tuple is the root's image followed by one
+    block per child branch.  Automorphisms permute isomorphic sibling
+    branches, which are contiguous in canonical order, and act on each
+    branch independently; the least tuple therefore takes each branch's
+    least block recursively and sorts the blocks within every run of
+    isomorphic siblings.
+    """
+    source = m.source
+
+    def rec(addr):
+        children, _ = source.node_at(addr)
+        if children is LEAF:
+            return "*", (m(addr),)
+        parts = [rec(addr + (i,)) for i in range(len(children))]
+        block = [m(addr)]
+        for _, run in itertools.groupby(parts, key=lambda part: part[0]):
+            for sub in sorted(sub for _, sub in run):
+                block.extend(sub)
+        return "(" + "".join(key for key, _ in parts) + ")", tuple(block)
+
+    return rec(())[1]
 
 
-_FACES_CACHE = {}
+def _replace_node(node, addr, new):
+    """`node` with the sub-node at relative address `addr` replaced."""
+    if not addr:
+        return new
+    children, label = node
+    i = addr[0]
+    return (children[:i] + (_replace_node(children[i], addr[1:], new),) + children[i + 1 :], label)
+
+
+def _face_candidates(t: Tree):
+    """(source, {source addr: target addr}, contracted edge or None) for each
+    elementary face of the unlabelled canonical tree `t`."""
+    for e in t.inner_edges:
+        c = contract_inner_edge(t, e)
+        yield c.source, c.map, e
+    root_node = t.node_at(())
+    for v in t.vertices:
+        # outer face at a top vertex: drop it, its edge becomes a leaf
+        kids = t.children(v)
+        if all(t.is_leaf(k) for k in kids):
+            raw = _replace_node(root_node, v, (LEAF, None))
+            source, addr_map = _finish(raw, {e: e for e in t.edges if e not in kids})
+            yield source, addr_map, None
+    if t.has_vertex(()):
+        # outer face at the root: keep one input's branch, the others being leaves
+        kids = t.children(())
+        for c in kids:
+            if all(t.is_leaf(k) for k in kids if k != c):
+                source = Tree(t.node_at(c), _canonical=True)
+                yield source, {e: c + e for e in source.edges}, None
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _faces(t: Tree):
+    # the key is the canonical unlabelled term, so edge addresses carry over
+    shape = parse_tree(t.key) if t.labels else t
+    found = {}
+    for source, addr_map, contracted in _face_candidates(shape):
+        m = OmegaMorphism(source, t, addr_map, _checked=True)
+        found.setdefault((source.key, _orbit_key(m)), (source, contracted))
+    faces = []
+    for okey in sorted(found):
+        source, contracted = found[okey]
+        rep = OmegaMorphism(source, t, dict(zip(source.edges, okey[1])), _checked=True)
+        faces.append(Face(rep, "outer" if contracted is None else "inner", contracted))
+    return tuple(faces)
 
 
 def elementary_faces(t: Tree, budget=None):
-    """All elementary faces of `t`, one per (source iso-class, image), sorted
-    deterministically and classified inner or outer."""
-    if t in _FACES_CACHE:
-        return _FACES_CACHE[t]
-    n_v = len(t.vertices)
-    if n_v == 0:
-        _FACES_CACHE[t] = []
-        return []
-    arity = max_operation_arity(t)
-    found = {}
-    for s in enumerate_trees_by_vertices(n_v - 1, arity, budget=budget):
-        if len(s.vertices) != n_v - 1 or len(s.edges) > len(t.edges):
-            continue
-        for m in hom_set(s, t, budget=budget):
-            if m.is_injective():
-                found.setdefault((s.key, _orbit_key(m)), m)
-    contractions = {}
-    for e in t.inner_edges:
-        c = contract_inner_edge(t, e)
-        contractions[(c.source.key, _orbit_key(c))] = e
-    faces = []
-    for okey in sorted(found):
-        m = found[okey]
-        e = contractions.get(okey)
-        faces.append(Face(m, "inner" if e is not None else "outer", e))
-    _FACES_CACHE[t] = faces
-    return faces
+    """All elementary faces of `t`, one per (source iso-class, image map up to
+    source automorphisms), sorted by (source key, orbit key) and classified.
+
+    Each face is built directly (Moerdijk-Weiss): an inner face contracts an
+    inner edge, which drops a closed branch when the edge ends in a stump;
+    an outer face removes a top vertex, whose edge becomes a leaf, or the
+    root vertex, keeping the branch at one root input when all the others
+    are leaves.  Sources are unlabelled and the representative of each face
+    is the lexicographically least map in its orbit.  Nothing is enumerated,
+    so `budget` is accepted but nothing is charged.
+    """
+    return list(_faces(t))
 
 
 # -- factorization -----------------------------------------------------------

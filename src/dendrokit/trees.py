@@ -171,14 +171,6 @@ class Tree:
     def edges_above(self, addr):
         return tuple(e for e in self._edges if self.below(addr, e))
 
-    def branch_is_closed(self, addr):
-        """No leaf above `addr` (the branch ends entirely in stumps)."""
-        return not any(self.is_leaf(e) for e in self.edges_above(addr))
-
-    def subtree_at(self, addr):
-        """The full branch hanging at `addr` as a Tree of its own."""
-        return Tree(self.node_at(addr), _canonical=True)
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other):

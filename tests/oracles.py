@@ -6,13 +6,16 @@ maps, automorphisms are filtered from all edge bijections, and labelled
 trees are counted through laminar set families.  The reference strict-Segal
 check hashes the family of restricted value tuples of every value at a tree;
 the library's check, which works on index arrays, is compared against it.
+The reference elementary faces come from a search over every injective map
+out of every tree with one vertex fewer; the library builds them directly.
 """
 
 import itertools
 
 from dendrokit.dendroidal import SegalReport, edge_inclusion, subcorolla_inclusion
 from dendrokit.errors import DomainError, charge
-from dendrokit.trees import Tree, corolla
+from dendrokit.morphisms import Face, contract_inner_edge, hom_set, max_operation_arity
+from dendrokit.trees import Tree, automorphisms, corolla, enumerate_trees_by_vertices
 
 
 def tree_operation_closure(t):
@@ -177,6 +180,44 @@ def psi_count_via_laminar_families(k):
             if ok:
                 count += 1
     return count
+
+
+# -- elementary faces by search ---------------------------------------------------
+
+
+def automorphism_orbit_key(m):
+    """Least edge-image tuple of m precomposed with each automorphism of its
+    source, found by enumerating the whole automorphism group."""
+    edges = m.source.edges
+    return min(tuple(m(alpha[e]) for e in edges) for alpha in automorphisms(m.source))
+
+
+def search_elementary_faces(t, budget=None):
+    """Elementary faces of `t` by search: every injective morphism into `t`
+    from a tree with one vertex fewer, one per (source, orbit key), sorted by
+    that pair; a face is inner when some inner-edge contraction has the same
+    pair.  The representative is the first map of its orbit in hom-set
+    order."""
+    n_v = len(t.vertices)
+    if n_v == 0:
+        return []
+    arity = max_operation_arity(t)
+    found = {}
+    for s in enumerate_trees_by_vertices(n_v - 1, arity, budget=budget):
+        if len(s.vertices) != n_v - 1 or len(s.edges) > len(t.edges):
+            continue
+        for m in hom_set(s, t, budget=budget):
+            if m.is_injective():
+                found.setdefault((s.key, automorphism_orbit_key(m)), m)
+    contractions = {}
+    for e in t.inner_edges:
+        c = contract_inner_edge(t, e)
+        contractions[(c.source.key, automorphism_orbit_key(c))] = e
+    faces = []
+    for okey in sorted(found):
+        e = contractions.get(okey)
+        faces.append(Face(found[okey], "inner" if e is not None else "outer", e))
+    return faces
 
 
 # -- the strict-Segal check on value tuples -------------------------------------

@@ -113,6 +113,29 @@ def test_segal_check_pass_and_fail():
     assert detail["detail"]["failures"][0]["tree"] == "(*(**))"
 
 
+def test_segal_check_missing_action_entry(tmp_path):
+    from dendrokit.fixtures import load_fixture_json
+
+    payload = load_fixture_json("corrupted.dendroidal.json")
+    face = next(
+        a for a in payload["actions"]
+        if a["morphism"]["source_key"] == "(**)" and "(*(**))#0" in a["map"]
+    )
+    del face["map"]["(*(**))#0"]
+    path = tmp_path / "missing.dendroidal.json"
+    path.write_text(json.dumps(payload))
+    bad = run("segal-check", "--dendroidal", str(path), check=False)
+    assert bad.returncode == 1
+    assert bad.stdout == ""
+    err = json.loads(bad.stderr)
+    assert set(err) == {"error", "detail"}
+    failure = err["detail"]["failures"][0]
+    assert failure["reason"] == "restriction unavailable"
+    assert failure["detail"]["error"] == "stored action has no entry for value"
+    assert failure["detail"]["detail"]["value"] == "(*(**))#0"
+    assert failure["detail"]["detail"]["morphism"] == face["morphism"]
+
+
 def test_reconstruct_round_trip_flag():
     out = run("reconstruct", "--operad", "ass", "--arity-bound", "2", "--round-trip")
     payload = json.loads(out.stdout)

@@ -1,4 +1,7 @@
 import itertools
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,7 @@ import oracles
 from dendrokit.errors import BudgetExceeded, DomainError
 from dendrokit.morphisms import (
     OmegaMorphism,
+    _orbit_key,
     classify,
     contract_inner_edge,
     degeneracies,
@@ -201,6 +205,43 @@ class TestFacesAndDegeneracies:
                     and f.morphism.then(sigma) == OmegaMorphism.identity(sigma.target)
                 ]
                 assert len(sections) == 2
+
+    def test_faces_match_search_oracle(self):
+        trees = enumerate_trees_by_vertices(3, 3) + [parse_tree(SIX_EDGE_EXAMPLE)]
+        assert len(trees) == 74
+        for t in trees:
+            got = [(f.morphism, f.kind, f.contracted) for f in elementary_faces(t)]
+            want = [
+                (f.morphism, f.kind, f.contracted)
+                for f in oracles.search_elementary_faces(t, budget=10**16)
+            ]
+            assert got == want, t.term
+
+    def test_faces_within_default_budget(self):
+        trees = enumerate_trees_by_vertices(4, 3)
+        assert len(trees) == 357
+        for t in trees:
+            fs = elementary_faces(t)
+            assert bool(fs) == bool(t.vertices)
+            assert all(len(f.morphism.source.vertices) == len(t.vertices) - 1 for f in fs)
+            assert all(f.morphism.is_injective() for f in fs)
+
+    def test_faces_cli_formerly_over_budget(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dendrokit.cli", "faces", "((***)(***)(***))", "--json"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[:500]
+        payload = json.loads(proc.stdout)
+        assert payload["count"] == len(payload["faces"]) == 6
+
+    def test_orbit_key_matches_automorphism_enumeration(self):
+        trees = enumerate_trees_by_vertices(2, 3)
+        for s, t in itertools.product(trees, repeat=2):
+            for m in hom_set(s, t):
+                assert _orbit_key(m) == oracles.automorphism_orbit_key(m)
 
     def test_inner_faces_match_contractions(self):
         for term in ["(*(**))", "((()))", "(()(()))"]:
