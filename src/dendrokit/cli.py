@@ -4,15 +4,15 @@ One subcommand per capability; every command writes deterministic output to
 stdout and machine-readable errors ``{"error": ..., "detail": ...}`` to
 stderr.  Exit codes: 0 success, 1 domain or budget error (including reported
 check failures), 2 usage error.  The DENDRO_BUDGET environment variable
-overrides enumeration budgets globally; ``--workers`` distributes independent
-work items over a thread pool without changing any output byte.
+overrides enumeration budgets globally.  ``--workers`` is accepted for
+compatibility and changes nothing: the work is pure Python and bound by the
+interpreter lock, so every command runs in one thread.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import update_wrapper
 
 import click
@@ -22,7 +22,7 @@ from . import dendroidal as dnd
 from . import morphisms as mor
 from . import strata
 from . import trees as tr
-from .errors import DendroError
+from .errors import DendroError, DomainError
 from .fixtures import bundled_trees, load_dendroidal, load_operad
 from .operads import Collection, TableOperad, check_operad_axioms, free_operad
 
@@ -35,14 +35,23 @@ def emit_json(payload):
     emit(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def pmap(fn, items, workers):
-    """Order-preserving map, optionally on a thread pool; the output is
-    byte-identical for any worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def read_text(path):
+    """The contents of a file argument; '-' reads stdin."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as err:
+        reason = err.strerror or str(err)
+        raise DomainError("cannot read input file", {"path": path, "reason": reason})
+
+
+def parse_json(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DomainError("malformed JSON", {"reason": err.msg, "position": err.pos})
 
 
 def handle_domain_errors(fn):
@@ -65,11 +74,9 @@ def parse_tree_arg(text):
 
 
 @click.group()
-@click.option("--workers", default=1, show_default=True, help="Thread pool size.")
-@click.pass_context
-def main(ctx, workers):
+@click.option("--workers", default=1, show_default=True, help="Accepted and ignored.")
+def main(workers):
     """Exact tree, operad and stratification combinatorics."""
-    ctx.obj = {"workers": max(1, workers)}
 
 
 # -- trees ---------------------------------------------------------------------
@@ -82,9 +89,8 @@ def main(ctx, workers):
 @click.option("--reduced", is_flag=True, help="Only trees without leaves.")
 @click.option("--count", "count_only", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
 @handle_domain_errors
-def enum_trees(ctx, max_edges, max_vertices, max_inputs, reduced, count_only, as_json):
+def enum_trees(max_edges, max_vertices, max_inputs, reduced, count_only, as_json):
     """Enumerate canonical trees, one per isomorphism class."""
     if (max_edges is None) == (max_vertices is None):
         raise click.UsageError("give exactly one of --max-edges / --max-vertices")
@@ -95,7 +101,7 @@ def enum_trees(ctx, max_edges, max_vertices, max_inputs, reduced, count_only, as
     if count_only:
         emit(str(len(trees)))
         return
-    terms = pmap(lambda t: t.key, trees, ctx.obj["workers"])
+    terms = [t.key for t in trees]
     if as_json:
         emit_json({"count": len(terms), "trees": terms})
     else:
@@ -108,16 +114,15 @@ def enum_trees(ctx, max_edges, max_vertices, max_inputs, reduced, count_only, as
 @click.option("--count", "count_only", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--max-maps", type=int, default=None, help="Budget override.")
-@click.pass_context
 @handle_domain_errors
-def hom(ctx, source, target, count_only, as_json, max_maps):
+def hom(source, target, count_only, as_json, max_maps):
     """All tree maps SOURCE -> TARGET."""
     s, t = parse_tree_arg(source), parse_tree_arg(target)
     maps = mor.hom_set(s, t, budget=max_maps)
     if count_only:
         emit(str(len(maps)))
         return
-    payload = pmap(lambda m: m.to_json(), maps, ctx.obj["workers"])
+    payload = [m.to_json() for m in maps]
     if as_json:
         emit_json({"count": len(maps), "morphisms": payload})
     else:
@@ -128,13 +133,12 @@ def hom(ctx, source, target, count_only, as_json, max_maps):
 @main.command()
 @click.argument("tree")
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
 @handle_domain_errors
-def faces(ctx, tree, as_json):
+def faces(tree, as_json):
     """Elementary faces of TREE, classified inner or outer."""
     t = parse_tree_arg(tree)
     fs = mor.elementary_faces(t)
-    payload = pmap(lambda f: f.to_json(), fs, ctx.obj["workers"])
+    payload = [f.to_json() for f in fs]
     if as_json:
         emit_json({"tree": t.term, "count": len(fs), "faces": payload})
     else:
@@ -144,19 +148,21 @@ def faces(ctx, tree, as_json):
 
 @main.command()
 @click.argument("morphism")
-@click.pass_context
 @handle_domain_errors
-def factorize(ctx, morphism):
+def factorize(morphism):
     """Factor a tree map (JSON file path, '-' for stdin, or inline JSON) as
     degeneracies, then an isomorphism, then faces."""
-    if morphism == "-":
-        text = sys.stdin.read()
-    elif morphism.lstrip().startswith("{"):
-        text = morphism
-    else:
-        with open(morphism) as fh:
-            text = fh.read()
-    m = mor.OmegaMorphism.from_json(json.loads(text))
+    text = morphism if morphism.lstrip().startswith("{") else read_text(morphism)
+    payload = parse_json(text)
+    if not isinstance(payload, dict):
+        payload = {}
+    edge_map = payload.get("edge_map")
+    bad = [f for f in ("source_key", "target_key") if not isinstance(payload.get(f), str)]
+    if not isinstance(edge_map, dict) or not all(isinstance(a, str) for a in edge_map.values()):
+        bad.append("edge_map")
+    if bad:
+        raise DomainError("malformed morphism JSON", {"fields": bad})
+    m = mor.OmegaMorphism.from_json(payload)
     fact = mor.factorize(m)
     emit_json(fact.to_json())
 
@@ -165,16 +171,15 @@ def factorize(ctx, morphism):
 @click.argument("tree")
 @click.option("--count", "count_only", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
 @handle_domain_errors
-def subtrees(ctx, tree, count_only, as_json):
+def subtrees(tree, count_only, as_json):
     """Connected edge subsets of TREE inducing valid inclusions."""
     t = parse_tree_arg(tree)
     subs = mor.subtrees(t)
     if count_only:
         emit(str(len(subs)))
         return
-    payload = pmap(lambda s: s.to_json(), subs, ctx.obj["workers"])
+    payload = [s.to_json() for s in subs]
     if as_json:
         emit_json({"tree": t.term, "count": len(subs), "subtrees": payload})
     else:
@@ -292,20 +297,15 @@ def _carrier(operad_obj, max_vertices, max_inputs, terms):
 @click.option("--max-vertices", default=3, show_default=True, type=int)
 @click.option("--max-inputs", default=3, show_default=True, type=int)
 @click.option("--counts", "counts_only", is_flag=True, help="Only value counts.")
-@click.pass_context
 @handle_domain_errors
-def nerve(ctx, operad_spec, terms, max_vertices, max_inputs, counts_only):
+def nerve(operad_spec, terms, max_vertices, max_inputs, counts_only):
     """The dendroidal nerve of an operad on a finite carrier (JSON)."""
     P = load_operad(operad_spec)
     carrier = _carrier(P, max_vertices, max_inputs, terms)
     X = dnd.nerve(P, trees=carrier)
     if counts_only:
-        counts = pmap(
-            lambda t: (t.key, sum(size for *_, size in X.value_blocks(t))),
-            carrier,
-            ctx.obj["workers"],
-        )
-        emit_json({"operad": P.name, "values": {k: v for k, v in counts}})
+        counts = {t.key: sum(size for *_, size in X.value_blocks(t)) for t in carrier}
+        emit_json({"operad": P.name, "values": counts})
         return
     table = dnd.materialize(X, carrier)
     emit_json(table.to_json())
@@ -332,11 +332,8 @@ def segal_check(ctx, operad_spec, dendroidal_spec, terms, max_vertices, max_inpu
         carrier = list(X.trees)
         if terms:
             carrier = [parse_tree_arg(t) for t in terms]
-    chunks = pmap(
-        lambda t: dnd.is_strict_segal(X, [t]), carrier, ctx.obj["workers"]
-    )
     report = dnd.SegalReport(getattr(X, "name", "dendroidal set"))
-    for c in chunks:
+    for c in (dnd.is_strict_segal(X, [t]) for t in carrier):
         report.checked.extend(c.checked)
         report.failures.extend(c.failures)
     if not report.passed:
@@ -392,9 +389,8 @@ def reconstruct(operad_spec, dendroidal_spec, arity_bound, round_trip):
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--dot", "as_dot", is_flag=True)
 @click.option("--ambient", default=2, show_default=True, type=int)
-@click.pass_context
 @handle_domain_errors
-def psi(ctx, k, count_only, as_json, as_dot, ambient):
+def psi(k, count_only, as_json, as_dot, ambient):
     """The stratification poset at level K."""
     poset = strata.enumerate_psi(k)
     if count_only:
@@ -402,16 +398,12 @@ def psi(ctx, k, count_only, as_json, as_dot, ambient):
     elif as_dot:
         emit(poset.to_dot(ambient))
     elif as_json:
-        payload = poset.to_json(ambient=ambient)
-        payload["elements"] = pmap(lambda e: e, payload["elements"], ctx.obj["workers"])
-        emit_json(payload)
+        emit_json(poset.to_json(ambient=ambient))
     else:
-        rows = pmap(
-            lambda t: f"{t.term}  dim={strata.stratum_dim(t, ambient)}  codim={t.n_inner_edges}",
-            poset.elements,
-            ctx.obj["workers"],
-        )
-        emit("\n".join(rows))
+        emit("\n".join(
+            f"{t.term}  dim={strata.stratum_dim(t, ambient)}  codim={t.n_inner_edges}"
+            for t in poset.elements
+        ))
 
 
 @main.command("boundary-index")
@@ -474,13 +466,15 @@ def fm_embed(points_file, selftest, seed, trials):
         return
     if not points_file:
         raise click.UsageError("give --points FILE or --selftest")
-    with open(points_file) as fh:
-        text = fh.read().strip()
+    text = read_text(points_file).strip()
     if text.startswith("[") or text.startswith("{"):
-        data = json.loads(text)
-        pts = data["points"] if isinstance(data, dict) else data
+        data = parse_json(text)
+        pts = data.get("points") if isinstance(data, dict) else data
     else:
-        pts = [[float(x) for x in line.split()] for line in text.splitlines() if line.strip()]
+        try:
+            pts = [[float(x) for x in line.split()] for line in text.splitlines() if line.strip()]
+        except ValueError as err:
+            raise DomainError("malformed point matrix", {"reason": str(err)})
     config = strata.Configuration(pts)
     emit_json(strata.fm_embed(config).to_json())
 
@@ -494,17 +488,13 @@ def fm_embed(points_file, selftest, seed, trials):
 @click.option("--k", default=None, type=int, help="Truncation level.")
 @click.option("--table", "k_max", default=None, type=int, help="All levels 2..KMAX.")
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
 @handle_domain_errors
-def connectivity(ctx, n, d, k, k_max, as_json):
+def connectivity(n, d, k, k_max, as_json):
     """Layer connectivity of the truncation tower, with its two inputs."""
     if (k is None) == (k_max is None):
         raise click.UsageError("give exactly one of --k / --table")
     ks = [k] if k is not None else list(range(2, k_max + 1))
-    audits = pmap(
-        lambda kk: conn.layer_from_parts(conn.TowerQuery(n, d, kk)), ks, ctx.obj["workers"]
-    )
-    rows = [a.to_json() for a in audits]
+    rows = [conn.layer_from_parts(conn.TowerQuery(n, d, kk)).to_json() for kk in ks]
     if d >= 2:
         for row in rows:
             row["global"] = conn.global_connectivity(d)

@@ -15,10 +15,14 @@ symmetric-group actions.  Conventions used throughout:
 Built-in examples: the terminal operad (one color, every hom-set a point),
 the associative operad (linear orders, a free symmetric action), endomorphism
 operads of a finite set, the operad generated by a tree, and free operads on
-a symmetric collection with the tree-shaped element calculus.
+a symmetric collection with the tree-shaped element calculus.  Endomorphism
+operads compose and permute through index plans cached on the instance: per
+tuple of child arities, the position read in each child for every argument
+code of the composite; per permutation, the source position of every value.
 
 Axioms (unit, associativity, equivariance) are checked by enumeration, never
-assumed; ``check_operad_axioms`` reports every violated instance.
+assumed; ``check_operad_axioms`` reports every violated instance and does
+each loop-invariant piece of work once.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, DomainError, charge
+from .errors import BudgetExceeded, DomainError, charge, resolve_budget
 from .morphisms import OpWitness, _input_sets
 from .trees import Tree
 
@@ -196,7 +200,10 @@ class EndOperad(FiniteOperad):
     """All functions X^n -> X on a finite set, composition by substitution.
 
     An arity-n element is the tuple of values over X^n in lexicographic
-    argument order.
+    argument order, so the value at an argument tuple sits at the
+    mixed-radix number of its point indices.  Composition and the symmetric
+    action read values through index plans cached per child-arity tuple and
+    per permutation; no argument tuple is built or evaluated per call.
     """
 
     name = "end"
@@ -210,6 +217,8 @@ class EndOperad(FiniteOperad):
         charge("end_operad tables", len(self.points) ** (len(self.points) ** arity_bound), budget)
         self._index = {p: i for i, p in enumerate(self.points)}
         self._args_cache = {}
+        self._compose_plans = {}
+        self._sigma_plans = {}
 
     def _args(self, n):
         if n not in self._args_cache:
@@ -231,26 +240,51 @@ class EndOperad(FiniteOperad):
     def identity(self, color):
         return self.points
 
-    def compose(self, parent, parent_sig, children, child_sigs):
-        arities = [len(s.inputs) for s in child_sigs]
-        total = sum(arities)
-        out = []
-        for args in self._args(total):
-            mids = []
+    def _code(self, digits):
+        """Mixed-radix number of a tuple of point indices."""
+        code = 0
+        for d in digits:
+            code = code * len(self.points) + d
+        return code
+
+    def _compose_plan(self, arities):
+        """For each argument code of the composite, the position read in
+        each child: child i sees the i-th block of the arguments."""
+        plan = []
+        for digits in itertools.product(range(len(self.points)), repeat=sum(arities)):
+            picks = []
             pos = 0
-            for child, k in zip(children, arities):
-                mids.append(self.evaluate(child, args[pos : pos + k]) if k else child[0])
+            for k in arities:
+                picks.append(self._code(digits[pos : pos + k]))
                 pos += k
-            out.append(self.evaluate(parent, tuple(mids)))
+            plan.append(tuple(picks))
+        return tuple(plan)
+
+    def compose(self, parent, parent_sig, children, child_sigs):
+        arities = tuple(len(s.inputs) for s in child_sigs)
+        plan = self._compose_plans.get(arities)
+        if plan is None:
+            plan = self._compose_plans[arities] = self._compose_plan(arities)
+        index = self._index
+        n = len(self.points)
+        out = []
+        for picks in plan:
+            code = 0
+            for child, j in zip(children, picks):
+                code = code * n + index[child[j]]
+            out.append(parent[code])
         return tuple(out)
 
     def sigma(self, element, sig, perm):
-        n = len(perm)
-        inv = perm_inverse(perm)
-        out = []
-        for args in self._args(n):
-            out.append(self.evaluate(element, tuple(args[inv[j]] for j in range(n))))
-        return tuple(out)
+        perm = tuple(perm)
+        plan = self._sigma_plans.get(perm)
+        if plan is None:
+            inv = perm_inverse(perm)
+            plan = self._sigma_plans[perm] = tuple(
+                self._code(tuple(digits[i] for i in inv))
+                for digits in itertools.product(range(len(self.points)), repeat=len(perm))
+            )
+        return tuple(element[i] for i in plan)
 
     def element_str(self, element):
         return "".join(str(v) for v in element)
@@ -845,9 +879,43 @@ class AxiomReport:
         }
 
 
+_MISSING = object()
+
+
+def _feasible_grandchildren(P, by_output, mid_sig, child_sigs, arity_bound):
+    """Every grandchild signature combo for the inputs of `mid_sig` within
+    the arity bound, in product order, with what its instances share: the
+    combo, its hom pools, per child of `child_sigs` the slice of the combo
+    it receives with those signatures and a memo of the child's composites
+    keyed by (child, block of grandchildren), and the children's composite
+    signatures."""
+    combos = []
+    for h_combo in itertools.product(*(by_output.get(c, ()) for c in mid_sig.inputs)):
+        if sum(s.arity for s in h_combo) > arity_bound:
+            continue
+        pools = [P.hom(s.inputs, s.output) for s in h_combo]
+        blocks, rhs_sigs = [], []
+        pos = 0
+        for gsig in child_sigs:
+            block = list(h_combo[pos : pos + gsig.arity])
+            blocks.append((pos, pos + gsig.arity, block, {}))
+            rhs_sigs.append(Signature(tuple(c for s in block for c in s.inputs), gsig.output))
+            pos += gsig.arity
+        combos.append((list(h_combo), pools, blocks, rhs_sigs))
+    return combos
+
+
 def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arity=4):
     """Enumerate unit, associativity and equivariance instances up to the
-    arity bound and report every violation."""
+    arity bound and report every violation.
+
+    Work that does not depend on an instance is done once: grandchild
+    signature combos per composition instance, the left composite per
+    (f, gs), each right-hand child composite per child and block of
+    grandchildren, and the permuted parent and block permutations of the
+    equivariance laws.
+    Each value is computed where a per-instance recomputation first needs
+    it, so the same instances, violations and errors come out."""
     report = AxiomReport(P.name, arity_bound)
     sigs = P.nonempty_signatures(arity_bound, budget=budget)
     instances = composition_instances(P, arity_bound, sigs, budget=budget)
@@ -879,7 +947,12 @@ def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
             report.checked += 2
 
     # associativity: compose twice in both orders
+    by_output = {}
+    for s in sigs:
+        by_output.setdefault(s.output, []).append(s)
+    compose = P.compose
     count = 0
+    limit = resolve_budget(budget)
     for parent_sig, child_sigs in instances:
         mid_sig = Signature(
             tuple(c for s in child_sigs for c in s.inputs), parent_sig.output
@@ -887,43 +960,32 @@ def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
         if mid_sig.arity == 0:
             # composing the nullary composite with nothing is trivial
             continue
+        combos = _feasible_grandchildren(P, by_output, mid_sig, child_sigs, arity_bound)
+        if not combos:
+            continue
+        child_list = list(child_sigs)
+        pools = [P.hom(s.inputs, s.output) for s in child_sigs]
         for f in P.hom(parent_sig.inputs, parent_sig.output):
-            pools = [P.hom(s.inputs, s.output) for s in child_sigs]
             for gs in itertools.product(*pools):
-                # choose grandchildren for every input of the composite
-                h_sigs = []
-                feasible = True
-                for color in mid_sig.inputs:
-                    options = [s for s in sigs if s.output == color]
-                    if not options:
-                        feasible = False
-                        break
-                    h_sigs.append(options)
-                if not feasible:
-                    continue
-                for h_combo in itertools.product(*h_sigs):
-                    if sum(s.arity for s in h_combo) > arity_bound:
-                        continue
-                    h_elements_pools = [P.hom(s.inputs, s.output) for s in h_combo]
-                    for hs in itertools.product(*h_elements_pools):
+                gs_list = list(gs)
+                lhs_mid = _MISSING
+                for h_combo, h_pools, blocks, rhs_child_sigs in combos:
+                    for hs in itertools.product(*h_pools):
                         count += 1
-                        charge("associativity instances", count, budget)
-                        lhs_mid = P.compose(f, parent_sig, list(gs), list(child_sigs))
-                        lhs = P.compose(lhs_mid, mid_sig, list(hs), list(h_combo))
+                        if count > limit:
+                            raise BudgetExceeded("associativity instances", count, limit)
+                        if lhs_mid is _MISSING:
+                            lhs_mid = compose(f, parent_sig, gs_list, child_list)
+                        lhs = compose(lhs_mid, mid_sig, list(hs), h_combo)
                         rhs_children = []
-                        rhs_child_sigs = []
-                        pos = 0
-                        for g, gsig in zip(gs, child_sigs):
-                            block = list(h_combo[pos : pos + gsig.arity])
-                            block_els = list(hs[pos : pos + gsig.arity])
-                            pos += gsig.arity
-                            rhs_children.append(P.compose(g, gsig, block_els, block))
-                            rhs_child_sigs.append(
-                                Signature(
-                                    tuple(c for s in block for c in s.inputs), gsig.output
-                                )
-                            )
-                        rhs = P.compose(f, parent_sig, rhs_children, rhs_child_sigs)
+                        for g, gsig, (start, stop, block, memo) in zip(gs, child_sigs, blocks):
+                            block_els = hs[start:stop]
+                            key = (g, block_els)
+                            child = memo.get(key, _MISSING)
+                            if child is _MISSING:
+                                child = memo[key] = compose(g, gsig, list(block_els), block)
+                            rhs_children.append(child)
+                        rhs = compose(f, parent_sig, rhs_children, rhs_child_sigs)
                         report.checked += 1
                         if lhs != rhs:
                             report.add(
@@ -944,15 +1006,17 @@ def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
         n = s.arity
         if n < 2 or n > max_perm_arity:
             continue
+        perms = list(itertools.permutations(range(n)))
+        ident = tuple(range(n))
         for el in P.hom(s.inputs, s.output):
-            ident = tuple(range(n))
             if P.sigma(el, s, ident) != el:
                 report.add("sigma-identity", {"sig": sig_str(s), "element": str(el)}, P.sigma(el, s, ident), el)
             report.checked += 1
-            for p in itertools.permutations(range(n)):
+            for p in perms:
                 s_p = Signature(tuple(s.inputs[i] for i in p), s.output)
-                for q in itertools.permutations(range(n)):
-                    one = P.sigma(P.sigma(el, s, p), s_p, q)
+                el_p = P.sigma(el, s, p)
+                for q in perms:
+                    one = P.sigma(el_p, s_p, q)
                     two = P.sigma(el, s, perm_compose(p, q))
                     report.checked += 1
                     if one != two:
@@ -969,20 +1033,44 @@ def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
         if n > max_perm_arity:
             continue
         arities = [s.arity for s in child_sigs]
-        for f in P.hom(parent_sig.inputs, parent_sig.output):
-            pools = [P.hom(s.inputs, s.output) for s in child_sigs]
-            for gs in itertools.product(*pools):
-                base = P.compose(f, parent_sig, list(gs), list(child_sigs))
-                base_sig = Signature(
-                    tuple(c for s in child_sigs for c in s.inputs), parent_sig.output
+        base_sig = Signature(
+            tuple(c for s in child_sigs for c in s.inputs), parent_sig.output
+        )
+        child_list = list(child_sigs)
+        # per parent permutation: (p, sig_p, sigs_p, block permutation)
+        parent_perms = [
+            (
+                p,
+                Signature(tuple(parent_sig.inputs[i] for i in p), parent_sig.output),
+                [child_sigs[p[i]] for i in range(n)],
+                block_permutation(p, arities),
+            )
+            for p in itertools.permutations(range(n))
+        ]
+        # per child slot and permutation: (slot, tau, sigs_t, direct sum)
+        child_perms = []
+        for slot in range(n):
+            k = arities[slot]
+            if k < 2 or k > max_perm_arity:
+                continue
+            for tau in itertools.permutations(range(k)):
+                sigs_t = list(child_sigs)
+                sigs_t[slot] = Signature(
+                    tuple(child_sigs[slot].inputs[i] for i in tau),
+                    child_sigs[slot].output,
                 )
-                for p in itertools.permutations(range(n)):
-                    f_p = P.sigma(f, parent_sig, p)
-                    sig_p = Signature(tuple(parent_sig.inputs[i] for i in p), parent_sig.output)
-                    gs_p = [gs[p[i]] for i in range(n)]
-                    sigs_p = [child_sigs[p[i]] for i in range(n)]
-                    lhs = P.compose(f_p, sig_p, gs_p, sigs_p)
-                    block = block_permutation(p, arities)
+                taus = [tau if i == slot else tuple(range(arities[i])) for i in range(n)]
+                child_perms.append((slot, tau, sigs_t, direct_sum_permutation(taus)))
+        pools = [P.hom(s.inputs, s.output) for s in child_sigs]
+        for f in P.hom(parent_sig.inputs, parent_sig.output):
+            f_ps = []  # P.sigma(f, parent_sig, p), filled at the first gs
+            for gs in itertools.product(*pools):
+                base = P.compose(f, parent_sig, list(gs), child_list)
+                for i, (p, sig_p, sigs_p, block) in enumerate(parent_perms):
+                    if i == len(f_ps):
+                        f_ps.append(P.sigma(f, parent_sig, p))
+                    gs_p = [gs[p[j]] for j in range(n)]
+                    lhs = P.compose(f_ps[i], sig_p, gs_p, sigs_p)
                     rhs = P.sigma(base, base_sig, block)
                     report.checked += 1
                     if lhs != rhs:
@@ -993,34 +1081,21 @@ def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
                             rhs,
                         )
                 # children permutations, one slot at a time
-                for slot in range(n):
-                    k = arities[slot]
-                    if k < 2 or k > max_perm_arity:
-                        continue
-                    for tau in itertools.permutations(range(k)):
-                        gs_t = list(gs)
-                        gs_t[slot] = P.sigma(gs[slot], child_sigs[slot], tau)
-                        sigs_t = list(child_sigs)
-                        sigs_t[slot] = Signature(
-                            tuple(child_sigs[slot].inputs[i] for i in tau),
-                            child_sigs[slot].output,
+                for slot, tau, sigs_t, direct_sum in child_perms:
+                    gs_t = list(gs)
+                    gs_t[slot] = P.sigma(gs[slot], child_sigs[slot], tau)
+                    lhs = P.compose(f, parent_sig, gs_t, sigs_t)
+                    rhs = P.sigma(base, base_sig, direct_sum)
+                    report.checked += 1
+                    if lhs != rhs:
+                        report.add(
+                            "child-equivariance",
+                            {
+                                "parent": sig_str(parent_sig),
+                                "slot": slot,
+                                "perm": tau,
+                            },
+                            lhs,
+                            rhs,
                         )
-                        lhs = P.compose(f, parent_sig, gs_t, sigs_t)
-                        taus = [
-                            tau if i == slot else tuple(range(arities[i]))
-                            for i in range(n)
-                        ]
-                        rhs = P.sigma(base, base_sig, direct_sum_permutation(taus))
-                        report.checked += 1
-                        if lhs != rhs:
-                            report.add(
-                                "child-equivariance",
-                                {
-                                    "parent": sig_str(parent_sig),
-                                    "slot": slot,
-                                    "perm": tau,
-                                },
-                                lhs,
-                                rhs,
-                            )
     return report

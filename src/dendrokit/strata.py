@@ -465,7 +465,10 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError):  # ragged rows or non-numbers
+            raise DomainError("points must be a k x n array") from None
         if pts.ndim != 2:
             raise DomainError("points must be a k x n array")
         object.__setattr__(self, "points", pts)

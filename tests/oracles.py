@@ -8,6 +8,8 @@ check hashes the family of restricted value tuples of every value at a tree;
 the library's check, which works on index arrays, is compared against it.
 The reference elementary faces come from a search over every injective map
 out of every tree with one vertex fewer; the library builds them directly.
+The reference operad-axiom check recomputes every composite inside its
+innermost loop; the library's checker shares loop-invariant work.
 """
 
 import itertools
@@ -15,6 +17,15 @@ import itertools
 from dendrokit.dendroidal import SegalReport, edge_inclusion, subcorolla_inclusion
 from dendrokit.errors import DomainError, charge
 from dendrokit.morphisms import Face, contract_inner_edge, hom_set, max_operation_arity
+from dendrokit.operads import (
+    AxiomReport,
+    FiniteOperad,
+    Signature,
+    block_permutation,
+    composition_instances,
+    direct_sum_permutation,
+    perm_compose,
+)
 from dendrokit.trees import Tree, automorphisms, corolla, enumerate_trees_by_vertices
 
 
@@ -334,4 +345,190 @@ def tuple_strict_segal(X, trees=None, budget=None) -> SegalReport:
             report.failures.append(
                 {"tree": t.term, "reason": "restriction unavailable", "detail": err.payload()}
             )
+    return report
+
+
+# -- the operad axioms, recomputed per instance ------------------------------------
+
+
+def naive_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arity=4):
+    """The axiom checker as first written: every unit, associativity and
+    equivariance instance up to the arity bound, recomputing each composite
+    where it is used.  The library's checker must report the same instances
+    and violations in the same order."""
+    report = AxiomReport(P.name, arity_bound)
+    sigs = P.nonempty_signatures(arity_bound, budget=budget)
+    instances = composition_instances(P, arity_bound, sigs, budget=budget)
+
+    def sig_str(s):
+        return f"({','.join(map(str, s.inputs))};{s.output})"
+
+    # identity elements exist
+    for c in P.colors:
+        ident = P.identity(c)
+        if ident not in P.hom((c,), c):
+            report.add("identity-exists", {"color": str(c)}, ident, P.hom((c,), c))
+        report.checked += 1
+
+    # unit laws
+    for s in sigs:
+        if s.arity == 0:
+            continue
+        for el in P.hom(s.inputs, s.output):
+            ids = [P.identity(c) for c in s.inputs]
+            id_sigs = [Signature((c,), c) for c in s.inputs]
+            right = P.compose(el, s, ids, id_sigs)
+            if right != el:
+                report.add("right-unit", {"sig": sig_str(s), "element": str(el)}, right, el)
+            out_id = P.identity(s.output)
+            left = P.compose(out_id, Signature((s.output,), s.output), [el], [s])
+            if left != el:
+                report.add("left-unit", {"sig": sig_str(s), "element": str(el)}, left, el)
+            report.checked += 2
+
+    # associativity: compose twice in both orders
+    count = 0
+    for parent_sig, child_sigs in instances:
+        mid_sig = Signature(
+            tuple(c for s in child_sigs for c in s.inputs), parent_sig.output
+        )
+        if mid_sig.arity == 0:
+            # composing the nullary composite with nothing is trivial
+            continue
+        for f in P.hom(parent_sig.inputs, parent_sig.output):
+            pools = [P.hom(s.inputs, s.output) for s in child_sigs]
+            for gs in itertools.product(*pools):
+                # choose grandchildren for every input of the composite
+                h_sigs = []
+                feasible = True
+                for color in mid_sig.inputs:
+                    options = [s for s in sigs if s.output == color]
+                    if not options:
+                        feasible = False
+                        break
+                    h_sigs.append(options)
+                if not feasible:
+                    continue
+                for h_combo in itertools.product(*h_sigs):
+                    if sum(s.arity for s in h_combo) > arity_bound:
+                        continue
+                    h_elements_pools = [P.hom(s.inputs, s.output) for s in h_combo]
+                    for hs in itertools.product(*h_elements_pools):
+                        count += 1
+                        charge("associativity instances", count, budget)
+                        lhs_mid = P.compose(f, parent_sig, list(gs), list(child_sigs))
+                        lhs = P.compose(lhs_mid, mid_sig, list(hs), list(h_combo))
+                        rhs_children = []
+                        rhs_child_sigs = []
+                        pos = 0
+                        for g, gsig in zip(gs, child_sigs):
+                            block = list(h_combo[pos : pos + gsig.arity])
+                            block_els = list(hs[pos : pos + gsig.arity])
+                            pos += gsig.arity
+                            rhs_children.append(P.compose(g, gsig, block_els, block))
+                            rhs_child_sigs.append(
+                                Signature(
+                                    tuple(c for s in block for c in s.inputs), gsig.output
+                                )
+                            )
+                        rhs = P.compose(f, parent_sig, rhs_children, rhs_child_sigs)
+                        report.checked += 1
+                        if lhs != rhs:
+                            report.add(
+                                "associativity",
+                                {
+                                    "parent": sig_str(parent_sig),
+                                    "children": [sig_str(s) for s in child_sigs],
+                                    "f": str(f),
+                                    "gs": [str(g) for g in gs],
+                                    "hs": [str(h) for h in hs],
+                                },
+                                lhs,
+                                rhs,
+                            )
+
+    # symmetric action functoriality
+    for s in sigs:
+        n = s.arity
+        if n < 2 or n > max_perm_arity:
+            continue
+        for el in P.hom(s.inputs, s.output):
+            ident = tuple(range(n))
+            if P.sigma(el, s, ident) != el:
+                report.add("sigma-identity", {"sig": sig_str(s), "element": str(el)}, P.sigma(el, s, ident), el)
+            report.checked += 1
+            for p in itertools.permutations(range(n)):
+                s_p = Signature(tuple(s.inputs[i] for i in p), s.output)
+                for q in itertools.permutations(range(n)):
+                    one = P.sigma(P.sigma(el, s, p), s_p, q)
+                    two = P.sigma(el, s, perm_compose(p, q))
+                    report.checked += 1
+                    if one != two:
+                        report.add(
+                            "sigma-functoriality",
+                            {"sig": sig_str(s), "element": str(el), "p": p, "q": q},
+                            one,
+                            two,
+                        )
+
+    # equivariance against composition
+    for parent_sig, child_sigs in instances:
+        n = parent_sig.arity
+        if n > max_perm_arity:
+            continue
+        arities = [s.arity for s in child_sigs]
+        for f in P.hom(parent_sig.inputs, parent_sig.output):
+            pools = [P.hom(s.inputs, s.output) for s in child_sigs]
+            for gs in itertools.product(*pools):
+                base = P.compose(f, parent_sig, list(gs), list(child_sigs))
+                base_sig = Signature(
+                    tuple(c for s in child_sigs for c in s.inputs), parent_sig.output
+                )
+                for p in itertools.permutations(range(n)):
+                    f_p = P.sigma(f, parent_sig, p)
+                    sig_p = Signature(tuple(parent_sig.inputs[i] for i in p), parent_sig.output)
+                    gs_p = [gs[p[i]] for i in range(n)]
+                    sigs_p = [child_sigs[p[i]] for i in range(n)]
+                    lhs = P.compose(f_p, sig_p, gs_p, sigs_p)
+                    block = block_permutation(p, arities)
+                    rhs = P.sigma(base, base_sig, block)
+                    report.checked += 1
+                    if lhs != rhs:
+                        report.add(
+                            "parent-equivariance",
+                            {"parent": sig_str(parent_sig), "perm": p, "f": str(f)},
+                            lhs,
+                            rhs,
+                        )
+                # children permutations, one slot at a time
+                for slot in range(n):
+                    k = arities[slot]
+                    if k < 2 or k > max_perm_arity:
+                        continue
+                    for tau in itertools.permutations(range(k)):
+                        gs_t = list(gs)
+                        gs_t[slot] = P.sigma(gs[slot], child_sigs[slot], tau)
+                        sigs_t = list(child_sigs)
+                        sigs_t[slot] = Signature(
+                            tuple(child_sigs[slot].inputs[i] for i in tau),
+                            child_sigs[slot].output,
+                        )
+                        lhs = P.compose(f, parent_sig, gs_t, sigs_t)
+                        taus = [
+                            tau if i == slot else tuple(range(arities[i]))
+                            for i in range(n)
+                        ]
+                        rhs = P.sigma(base, base_sig, direct_sum_permutation(taus))
+                        report.checked += 1
+                        if lhs != rhs:
+                            report.add(
+                                "child-equivariance",
+                                {
+                                    "parent": sig_str(parent_sig),
+                                    "slot": slot,
+                                    "perm": tau,
+                                },
+                                lhs,
+                                rhs,
+                            )
     return report

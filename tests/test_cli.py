@@ -223,6 +223,41 @@ class TestErrorPaths:
         assert payload["detail"]["budget"] == 10
 
 
+class TestInputErrors:
+    """Unreadable or malformed input ends in exit 1 with a JSON error on
+    stderr, not a traceback."""
+
+    @staticmethod
+    def error_of(*args):
+        proc = run(*args, check=False)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        payload = json.loads(proc.stderr)
+        assert set(payload) == {"error", "detail"}
+        return payload
+
+    def test_factorize_malformed_json(self):
+        payload = self.error_of("factorize", "{bad")
+        assert payload["error"] == "malformed JSON"
+        assert payload["detail"]["position"] == 1
+
+    def test_factorize_missing_fields(self):
+        payload = self.error_of("factorize", '{"source_key":"*"}')
+        assert payload["detail"] == {"fields": ["target_key", "edge_map"]}
+
+    def test_fm_embed_missing_file(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        payload = self.error_of("fm-embed", "--points", path)
+        assert payload["error"] == "cannot read input file"
+        assert payload["detail"]["path"] == path
+
+    def test_fm_embed_ragged_points(self, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text("[[0,0,0],[1,2]]")
+        payload = self.error_of("fm-embed", "--points", str(path))
+        assert payload["error"] == "points must be a k x n array"
+
+
 DETERMINISM_COMMANDS = [
     ("psi", "4", "--json"),
     ("enum-trees", "--max-edges", "5", "--max-inputs", "3"),

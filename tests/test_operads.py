@@ -1,9 +1,12 @@
 import itertools
 
+import random
+
 import pytest
 
 import oracles
 from dendrokit.errors import BudgetExceeded, DomainError
+from dendrokit.fixtures import load_operad
 from dendrokit.morphisms import hom_set, operation_exists
 from dendrokit.operads import (
     Collection,
@@ -103,6 +106,146 @@ class TestEnd:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             end_operad((0, 1), 6, budget=10**6)
+
+
+def _substitute(E, parent, children, arities):
+    """f(g_1(block 1), ..., g_k(block k)) over every argument tuple, read
+    through `evaluate`."""
+    out = []
+    for args in E._args(sum(arities)):
+        mids = []
+        pos = 0
+        for child, k in zip(children, arities):
+            mids.append(E.evaluate(child, args[pos : pos + k]))
+            pos += k
+        out.append(E.evaluate(parent, tuple(mids)))
+    return tuple(out)
+
+
+class TestEndThreePoints:
+    """End({0, 1, 2}) at arity bound 2: composition plans against direct
+    substitution for every arity shape, and the permutation plans against
+    `evaluate`.  Homs of up to 27 elements are used whole; the 19,683
+    binary operations are sampled."""
+
+    E = end_operad((0, 1, 2), 2)
+    SAMPLE = 12
+
+    def elements(self, n, rng):
+        pool = self.E.hom(("x",) * n, "x")
+        return pool if len(pool) <= 27 else rng.sample(pool, self.SAMPLE)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_compose_is_substitution(self, n):
+        E = self.E
+        rng = random.Random(n)
+        shapes = [a for a in itertools.product(range(3), repeat=n) if sum(a) <= 2]
+        checked = 0
+        for arities in shapes:
+            sig = Signature(("x",) * n, "x")
+            child_sigs = [Signature(("x",) * k, "x") for k in arities]
+            pools = [self.elements(k, rng) for k in arities]
+            for parent in self.elements(n, rng):
+                for children in itertools.product(*pools):
+                    got = E.compose(parent, sig, list(children), child_sigs)
+                    assert got == _substitute(E, parent, children, arities)
+                    checked += 1
+        assert checked > 0
+
+    def test_sigma_is_argument_permutation(self):
+        E = self.E
+        for n in (0, 1, 2):
+            sig = Signature(("x",) * n, "x")
+            for perm in itertools.permutations(range(n)):
+                inv = perm_inverse(perm)
+                for el in E.hom(sig.inputs, sig.output):
+                    expected = tuple(
+                        E.evaluate(el, tuple(args[inv[j]] for j in range(n)))
+                        for args in E._args(n)
+                    )
+                    assert E.sigma(el, sig, perm) == expected
+
+
+def _corrupted(table):
+    """The table with its first composition entry that has another possible
+    value replaced by that value."""
+    for key in table.composition_keys():
+        parent, (p_in, p_out), children, child_sigs = key
+        value = table._comp[key]
+        inputs = tuple(c for s in child_sigs for c in s[0])
+        others = [e for e in table.hom(inputs, p_out) if e != value]
+        if others:
+            return table.corrupt(key, others[0])
+    raise AssertionError("no composition entry can be corrupted")
+
+
+def _without_entry(table, key):
+    comp = dict(table._comp)
+    del comp[key]
+    return TableOperad(
+        table.colors, table._homs, table._identities, comp, table._sym,
+        arity_bound=table.arity_bound, name=table.name,
+    )
+
+
+class TestCheckerMatchesOracle:
+    """`check_operad_axioms` reports exactly what the per-instance oracle
+    reports: instance count, violations and their order."""
+
+    CASES = {
+        "com-3": lambda: (com_operad(), 3),
+        "ass-3": lambda: (ass_operad(4), 3),
+        "free-binary-4": lambda: (free_operad(one_binary_generator(), 4), 4),
+        "end01-2": lambda: (end_operad((0, 1), 2), 2),
+        "end012-1": lambda: (end_operad((0, 1, 2), 2), 1),
+        "table-com-3": lambda: (load_operad("com.operad.json"), 3),
+        "table-ass-3": lambda: (load_operad("ass.operad.json"), 3),
+        "table-end01-2": lambda: (load_operad("end01.operad.json"), 2),
+        "corrupted-ass-3": lambda: (_corrupted(load_operad("ass.operad.json")), 3),
+        "corrupted-end01-2": lambda: (_corrupted(load_operad("end01.operad.json")), 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_report(self, case):
+        P, bound = self.CASES[case]()
+        got = check_operad_axioms(P, bound).to_json()
+        assert got == oracles.naive_operad_axioms(P, bound).to_json()
+        assert got["passed"] == (not case.startswith("corrupted"))
+
+    def test_missing_entry_same_error(self):
+        table = load_operad("ass.operad.json")
+        # a spread of entries: some are first needed by the unit laws, the
+        # others inside the associativity loop
+        keys = [
+            k for k in table.composition_keys()
+            if [len(s[0]) for s in k[3]] in ([1, 1], [2, 1], [1, 2], [0, 2])
+        ]
+        assert len(keys) > 10
+        for key in keys[:: len(keys) // 8]:
+            broken = _without_entry(table, key)
+            with pytest.raises(DomainError) as got:
+                check_operad_axioms(broken, 3)
+            with pytest.raises(DomainError) as want:
+                oracles.naive_operad_axioms(broken, 3)
+            assert got.value.payload() == want.value.payload()
+
+    @pytest.mark.parametrize("budget", [5, 1000, 10000])
+    def test_budget_same_estimate(self, budget):
+        with pytest.raises(BudgetExceeded) as got:
+            check_operad_axioms(ass_operad(4), 3, budget=budget)
+        with pytest.raises(BudgetExceeded) as want:
+            oracles.naive_operad_axioms(ass_operad(4), 3, budget=budget)
+        assert got.value.payload() == want.value.payload()
+        assert got.value.detail["operation"] == "associativity instances"
+        assert got.value.detail["estimate"] == budget + 1
+
+    def test_budget_from_environment(self, monkeypatch):
+        monkeypatch.setenv("DENDRO_BUDGET", "500")
+        with pytest.raises(BudgetExceeded) as got:
+            check_operad_axioms(load_operad("ass.operad.json"), 3)
+        assert got.value.detail == {
+            "operation": "associativity instances", "estimate": 501, "budget": 500,
+        }
 
 
 class TestTreeOperad:
