@@ -332,10 +332,7 @@ def segal_check(ctx, operad_spec, dendroidal_spec, terms, max_vertices, max_inpu
         carrier = list(X.trees)
         if terms:
             carrier = [parse_tree_arg(t) for t in terms]
-    report = dnd.SegalReport(getattr(X, "name", "dendroidal set"))
-    for c in (dnd.is_strict_segal(X, [t]) for t in carrier):
-        report.checked.extend(c.checked)
-        report.failures.extend(c.failures)
+    report = dnd.is_strict_segal(X, carrier)
     if not report.passed:
         sys.stderr.write(json.dumps(
             {"error": "strict Segal check failed", "detail": report.to_json()},

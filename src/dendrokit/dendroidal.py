@@ -7,8 +7,8 @@ strategies are provided:
 - :class:`NerveDendroidalSet` is the nerve of a finite operad: the value at a
   tree is the set of operad maps out of the tree's operad (a color per edge
   plus an operation per vertex), and restrictions are computed structurally
-  by evaluating operation witnesses.  Values exist lazily for every tree
-  within the operad's arity bound.
+  by evaluating operation witnesses.  Values are computed on demand for
+  every tree within the operad's arity bound and never cached.
 - :class:`TableDendroidalSet` stores explicit value sets and generator
   actions (elementary faces, degeneracies, automorphisms); restrictions along
   arbitrary maps are derived by factorization.
@@ -17,13 +17,18 @@ On top of these sit the Segal-core machinery (families of corolla values
 agreeing on shared edges), the exact strict-Segal bijection check, and the
 reconstruction of an operad from any strict-Segal dendroidal set.
 
-The strict-Segal check never hashes value tuples.  It stacks, per vertex of
-a tree, an index column: the position among the corolla's values of each
-value's restriction to that vertex.  Nerves compute the columns in closed
-form from their value order; table sets restrict value by value.  Image
-inside the core is an equality of boundary index arrays per inner edge,
-injectivity is `np.unique` on mixed-radix keys of the columns, and the core
-itself is only counted, by dynamic programming over the vertex tree.
+The strict-Segal check and the reconstruction read the Segal core the same
+way, and neither hashes value tuples.  Per corolla arity, a boundary table
+holds the ids of each corolla value's root and leaf restrictions.  Per
+vertex of a tree, an index column holds the position among the corolla's
+values of each value's restriction to that vertex.  Nerves compute the
+columns in closed form from their value order; table sets restrict value by
+value.  The check tests image inside the core as an equality of boundary
+ids per inner edge and injectivity as `np.unique` on mixed-radix keys of
+the columns, and counts the core by dynamic programming over the vertex
+tree.  Reconstruction groups corolla values by their boundary ids into hom
+sets, and inverts the Segal bijection on a grafted tree by indexing its
+values by their columns.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .morphisms import (
     factorize,
     operation_exists,
 )
-from .operads import FiniteOperad, Signature, eval_witness
+from .operads import FiniteOperad, Signature, eval_witness, perm_inverse
 from .trees import (
     Tree,
     automorphisms,
@@ -88,22 +93,16 @@ def leaf_relabel_automorphism(n, perm) -> OmegaMorphism:
     return OmegaMorphism(t, t, edge_map, _checked=True)
 
 
-def grafted_two_level_tree(n, child_arities):
-    """The tree with an n-input root vertex whose i-th input carries a vertex
-    with child_arities[i] leaf inputs.  Returns (tree, slot address map)
-    where slots are addressed ('root',), ('slot', j), ('leaf', j, i)."""
+def grafted_two_level_tree(child_arities):
+    """The tree with a root vertex whose j-th input carries a vertex
+    with child_arities[j] leaf inputs.  Returns (tree, address map): the map
+    sends the raw address (j,) of slot j and (j, i) of its i-th leaf to
+    their canonical addresses in the tree."""
     raw_children = []
     for k in child_arities:
         raw_children.append((tuple((None, None) for _ in range(k)), None))
-    raw = (tuple(raw_children), None)
-    canon, cmap = canonicalize_node(raw)
-    tree = Tree(canon, _canonical=True)
-    slots = {("root",): ()}
-    for j in range(n):
-        slots[("slot", j)] = cmap[(j,)]
-        for i in range(child_arities[j]):
-            slots[("leaf", j, i)] = cmap[(j, i)]
-    return tree, slots
+    canon, cmap = canonicalize_node((tuple(raw_children), None))
+    return Tree(canon, _canonical=True), cmap
 
 
 # -- nerve ---------------------------------------------------------------------
@@ -122,30 +121,18 @@ class NerveDendroidalSet:
         self.operad = operad
         self.trees = tuple(trees) if trees is not None else None
         self.budget = budget
-        self._cache = {}
 
     @property
     def name(self):
         return f"nerve({self.operad.name})"
 
-    def contains(self, t: Tree):
-        if self.operad.arity_bound is not None:
-            max_in = max((len(t.children(v)) for v in t.vertices), default=0)
-            if max_in > self.operad.arity_bound:
-                return False
-        return self.trees is None or t in self.trees
-
     def values(self, t: Tree):
-        if t in self._cache:
-            return self._cache[t]
         out = []
         for coloring, pools, _size in self.value_blocks(t):
             colors = tuple(coloring[e] for e in t.edges)
             for decs in itertools.product(*pools):
                 out.append((colors, decs))
-        result = tuple(out)
-        self._cache[t] = result
-        return result
+        return tuple(out)
 
     def value_blocks(self, t: Tree):
         """The values at `t` in blocks, one per edge coloring in value order:
@@ -315,9 +302,6 @@ class TableDendroidalSet:
         self._actions = dict(actions)
         self.name = name
 
-    def contains(self, t: Tree):
-        return t in self.trees
-
     def values(self, t: Tree):
         try:
             return self._values[t]
@@ -423,7 +407,7 @@ def carrier_closure(seeds, budget=None):
             continue
         seen[t.key] = t
         charge("carrier closure", len(seen) * 4, budget)
-        for face in elementary_faces(t, budget=budget):
+        for face in elementary_faces(t):
             if face.morphism.source.key not in seen:
                 stack.append(face.morphism.source)
         for sigma in degeneracies(t):
@@ -432,7 +416,7 @@ def carrier_closure(seeds, budget=None):
     return sorted(seen.values(), key=lambda t: (len(t.edges), t.key))
 
 
-def materialize(X: NerveDendroidalSet, trees, budget=None, name=None):
+def materialize(X: NerveDendroidalSet, trees, name=None):
     """Snapshot a nerve into an explicit TableDendroidalSet on `trees`,
     storing actions for all faces, degeneracies and automorphisms."""
     trees = sorted(trees, key=lambda t: (len(t.edges), t.key))
@@ -445,7 +429,7 @@ def materialize(X: NerveDendroidalSet, trees, budget=None, name=None):
         actions[morphism_key(m)] = {el: fn(el) for el in values[m.target]}
 
     for t in trees:
-        for face in elementary_faces(t, budget=budget):
+        for face in elementary_faces(t):
             if face.morphism.source.key in keys:
                 store(face.morphism)
         for sigma in degeneracies(t):
@@ -706,9 +690,11 @@ class ReconstructedOperad(FiniteOperad):
     """The operad carried by a strict-Segal dendroidal set.
 
     Colors are the values at the one-edge tree; arity-n operations are the
-    values at the n-corolla sorted by their edge restrictions; composition
-    inverts the Segal bijection on a two-level grafted tree and restricts
-    along the full-corolla map; identities are degeneracy images.
+    values at the n-corolla grouped by the ids of their edge restrictions in
+    the Segal boundary table; composition inverts the Segal bijection on a
+    two-level grafted tree, whose values are indexed by their Segal columns,
+    and restricts along the full-corolla map; identities are degeneracy
+    images.
     """
 
     name = "reconstructed"
@@ -718,26 +704,30 @@ class ReconstructedOperad(FiniteOperad):
         self.arity_bound = arity_bound
         self.budget = budget
         self.colors = tuple(X.values(ETA))
-        self._hom_index = {}
-        self._graft_index = {}
+        self._boundary, self._edge_ids = {}, {}
+        self._homs = {}
+        self._graft_plans = {}
+        self._graft_rows = {}
+        self._sigma_acts = {}
         self._identities = None
 
-    def _corolla_index(self, n):
-        if n in self._hom_index:
-            return self._hom_index[n]
-        tn = corolla(n)
-        root_r = self.X.restrict(edge_inclusion(tn, ()))
-        leaf_r = [self.X.restrict(edge_inclusion(tn, (i,))) for i in range(n)]
-        index = {}
-        for el in self.X.values(tn):
-            sig = (tuple(r(el) for r in leaf_r), root_r(el))
-            index.setdefault(sig, []).append(el)
-        self._hom_index[n] = index
-        return index
+    def _corolla(self, k):
+        if k not in self._boundary:
+            self._boundary[k] = _corolla_boundary(self.X, k, self._edge_ids)
+        return self._boundary[k]
 
     def hom(self, inputs, output):
-        self.check_arity(len(inputs))
-        return tuple(self._corolla_index(len(inputs)).get((tuple(inputs), output), ()))
+        n = len(inputs)
+        self.check_arity(n)
+        if n not in self._homs:
+            b = self._corolla(n)
+            groups = {}
+            for el, root, leaves in zip(b.values, b.root.tolist(), b.leaves.tolist()):
+                groups.setdefault((tuple(leaves), root), []).append(el)
+            self._homs[n] = {key: tuple(els) for key, els in groups.items()}
+        ids = self._edge_ids
+        key = (tuple(ids.get(c) for c in inputs), ids.get(output))
+        return self._homs[n].get(key, ())
 
     def identity(self, color):
         if self._identities is None:
@@ -748,12 +738,13 @@ class ReconstructedOperad(FiniteOperad):
         return self._identities[color]
 
     def compose(self, parent, parent_sig, children, child_sigs):
-        n = parent_sig.arity
-        arities = tuple(s.arity for s in child_sigs)
-        tree, slots, index, total_r, sub_r = self._graft_data(n, arities)
+        key = (parent_sig.arity, tuple(s.arity for s in child_sigs))
+        if key not in self._graft_plans:
+            self._graft_plans[key] = self._graft_plan(*key)
+        slot_order, total_r, rows = self._graft_plans[key]
         family = (parent,) + tuple(children)
         try:
-            z = index[family]
+            z = rows[tuple(ids[family[j]] for j, ids in slot_order)]
         except KeyError:
             raise DomainError(
                 "no grafted element restricting to the given family; "
@@ -761,53 +752,46 @@ class ReconstructedOperad(FiniteOperad):
             )
         return total_r(z)
 
-    def _graft_data(self, n, arities):
-        key = (n, arities)
-        if key in self._graft_index:
-            return self._graft_index[key]
-        tree, slots = grafted_two_level_tree(n, arities)
-        root_sub = OmegaMorphism(
-            corolla(n),
-            tree,
-            {(): ()} | {(j,): slots[("slot", j)] for j in range(n)},
-            _checked=True,
-        )
-        slot_subs = []
-        for j, k in enumerate(arities):
-            emap = {(): slots[("slot", j)]}
-            for i in range(k):
-                emap[(i,)] = slots[("leaf", j, i)]
-            slot_subs.append(OmegaMorphism(corolla(k), tree, emap, _checked=True))
-        m_total = sum(arities)
-        emap = {(): ()}
-        pos = 0
-        for j, k in enumerate(arities):
-            for i in range(k):
-                emap[(pos,)] = slots[("leaf", j, i)]
-                pos += 1
-        total = OmegaMorphism(corolla(m_total), tree, emap, _checked=True)
+    def _graft_plan(self, n, arities):
+        """(slot order, full-corolla restriction, rows of the grafted tree).
+        The slot order lists, per vertex of the tree, the family member at it
+        and the table from that member to its column id.  Slot j is the
+        root's pos[j]-th input, so the parent, given in slot order, reaches
+        the root's column through a leaf relabelling."""
+        tree, cmap = grafted_two_level_tree(arities)
+        leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
+        total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
+        total = OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
+        total_r = self.X.restrict(total)
+        order = perm_inverse([cmap[(j,)][0] for j in range(n)])  # inverse of pos
+        b = self._corolla(n)
+        relabel = self.X.restrict(leaf_relabel_automorphism(n, order))
+        root_ids = {el: b.index.get(relabel(el), -1) for el in b.values}
+        slot_order = [(0, root_ids)]
+        slot_order.extend((1 + j, self._corolla(arities[j]).index) for j in order)
+        if tree not in self._graft_rows:
+            self._graft_rows[tree] = self._grafted_rows(tree)
+        return slot_order, total_r, self._graft_rows[tree]
 
-        root_act = self.X.restrict(root_sub)
-        slot_acts = [self.X.restrict(s) for s in slot_subs]
-        index = {}
+    def _grafted_rows(self, tree):
+        """The values at a grafted tree keyed by their Segal columns' ids,
+        in vertex order."""
         values = self.X.values(tree)
         charge("reconstruction graft values", len(values), self.budget)
-        for z in values:
-            family = (root_act(z),) + tuple(act(z) for act in slot_acts)
-            if family in index:
-                raise DomainError(
-                    "grafted tree value restricts non-uniquely; "
-                    "the dendroidal set is not strict Segal"
-                )
-            index[family] = z
-        data = (tree, slots, index, self.X.restrict(total), (root_sub, slot_subs))
-        self._graft_index[key] = data
-        return data
+        columns = _value_columns(self.X, tree, self._boundary, self.budget)
+        rows = dict(zip(zip(*(c.tolist() for c in columns)), values))
+        if len(rows) < len(values):
+            raise DomainError(
+                "grafted tree value restricts non-uniquely; "
+                "the dendroidal set is not strict Segal"
+            )
+        return rows
 
     def sigma(self, element, sig, perm):
-        n = len(perm)
-        act = self.X.restrict(leaf_relabel_automorphism(n, perm))
-        return act(element)
+        perm = tuple(perm)
+        if perm not in self._sigma_acts:
+            self._sigma_acts[perm] = self.X.restrict(leaf_relabel_automorphism(len(perm), perm))
+        return self._sigma_acts[perm](element)
 
     def element_str(self, element):
         return str(element)

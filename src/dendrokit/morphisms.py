@@ -500,7 +500,7 @@ def _faces(t: Tree):
     return tuple(faces)
 
 
-def elementary_faces(t: Tree, budget=None):
+def elementary_faces(t: Tree):
     """All elementary faces of `t`, one per (source iso-class, image map up to
     source automorphisms), sorted by (source key, orbit key) and classified.
 
@@ -510,7 +510,7 @@ def elementary_faces(t: Tree, budget=None):
     root vertex, keeping the branch at one root input when all the others
     are leaves.  Sources are unlabelled and the representative of each face
     is the lexicographically least map in its orbit.  Nothing is enumerated,
-    so `budget` is accepted but nothing is charged.
+    so nothing is charged.
     """
     return list(_faces(t))
 
@@ -542,7 +542,7 @@ class Factorization:
         }
 
 
-def factorize(m: OmegaMorphism, budget=None) -> Factorization:
+def factorize(m: OmegaMorphism) -> Factorization:
     """Factor `m` as degeneracies, then an isomorphism, then elementary
     faces; the composite of the returned witnesses equals `m` exactly."""
     degs = []
@@ -572,7 +572,7 @@ def factorize(m: OmegaMorphism, budget=None) -> Factorization:
             "valid morphism failed to become injective after degeneracies",
             {"map": current.to_json()},
         )
-    peeled = _peel(current, budget)
+    peeled = _peel(current)
     if peeled is None:
         raise DomainError("face factorization search failed", {"map": current.to_json()})
     chain, iso = peeled
@@ -582,11 +582,11 @@ def factorize(m: OmegaMorphism, budget=None) -> Factorization:
     return fact
 
 
-def _peel(g: OmegaMorphism, budget):
+def _peel(g: OmegaMorphism):
     if g.is_isomorphism():
         return [], g
     g_image = g.image()
-    for face in elementary_faces(g.target, budget=budget):
+    for face in elementary_faces(g.target):
         delta = face.morphism
         if not g_image <= delta.image():
             continue
@@ -595,7 +595,7 @@ def _peel(g: OmegaMorphism, budget):
         if not validate_morphism(g.source, delta.source, lift_map):
             continue
         lift = OmegaMorphism(g.source, delta.source, lift_map, _checked=True)
-        sub = _peel(lift, budget)
+        sub = _peel(lift)
         if sub is not None:
             chain, iso = sub
             return chain + [face], iso

@@ -216,20 +216,8 @@ class EndOperad(FiniteOperad):
         self.arity_bound = arity_bound
         charge("end_operad tables", len(self.points) ** (len(self.points) ** arity_bound), budget)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._args_cache = {}
         self._compose_plans = {}
         self._sigma_plans = {}
-
-    def _args(self, n):
-        if n not in self._args_cache:
-            self._args_cache[n] = tuple(itertools.product(self.points, repeat=n))
-        return self._args_cache[n]
-
-    def evaluate(self, element, args):
-        idx = 0
-        for a in args:
-            idx = idx * len(self.points) + self._index[a]
-        return element[idx]
 
     def hom(self, inputs, output):
         n = len(inputs)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, charge
 from .morphisms import shorten, subtrees
-from .trees import LEAF, Tree, parse_tree, reduced_corolla
+from .trees import Tree, parse_tree, reduced_corolla
 
 __all__ = [
     "LabelledTree",
@@ -66,10 +66,6 @@ class LabelledTree:
     @property
     def node(self):
         return self._node
-
-    @property
-    def n_leaves(self):
-        return len(self.labels())
 
     def labels(self):
         out = []
@@ -132,16 +128,6 @@ class LabelledTree:
 
         rec(self._node, lambda n: n)
         return [LabelledTree(n) for n in results]
-
-    def to_tree(self) -> Tree:
-        """The underlying Tree with leaf labels attached."""
-
-        def rec(node):
-            if isinstance(node, int):
-                return (LEAF, str(node))
-            return (tuple(rec(c) for c in node), None)
-
-        return Tree(rec(self._node))
 
     @classmethod
     def from_tree(cls, t: Tree) -> "LabelledTree":

@@ -9,14 +9,31 @@ the library's check, which works on index arrays, is compared against it.
 The reference elementary faces come from a search over every injective map
 out of every tree with one vertex fewer; the library builds them directly.
 The reference operad-axiom check recomputes every composite inside its
-innermost loop; the library's checker shares loop-invariant work.
+innermost loop; the library's checker shares loop-invariant work.  End
+operads are checked against substitution through `end_evaluate`.  The
+reference reconstruction restricts every value of a grafted tree to its
+root and slot subcorollas and hashes the family of value tuples; the
+library's reads the Segal check's boundary table and index columns.
 """
 
 import itertools
 
-from dendrokit.dendroidal import SegalReport, edge_inclusion, subcorolla_inclusion
+from dendrokit.dendroidal import (
+    ETA,
+    SegalReport,
+    edge_inclusion,
+    leaf_relabel_automorphism,
+    subcorolla_inclusion,
+)
 from dendrokit.errors import DomainError, charge
-from dendrokit.morphisms import Face, contract_inner_edge, hom_set, max_operation_arity
+from dendrokit.morphisms import (
+    Face,
+    OmegaMorphism,
+    contract_inner_edge,
+    degeneracy_at,
+    hom_set,
+    max_operation_arity,
+)
 from dendrokit.operads import (
     AxiomReport,
     FiniteOperad,
@@ -26,7 +43,13 @@ from dendrokit.operads import (
     direct_sum_permutation,
     perm_compose,
 )
-from dendrokit.trees import Tree, automorphisms, corolla, enumerate_trees_by_vertices
+from dendrokit.trees import (
+    Tree,
+    automorphisms,
+    canonicalize_node,
+    corolla,
+    enumerate_trees_by_vertices,
+)
 
 
 def tree_operation_closure(t):
@@ -532,3 +555,151 @@ def naive_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
                                 rhs,
                             )
     return report
+
+
+# -- End operads by substitution ---------------------------------------------
+
+
+def end_args(E, n):
+    """All argument tuples of arity n over E's points, lexicographically."""
+    return tuple(itertools.product(E.points, repeat=n))
+
+
+def end_evaluate(E, element, args):
+    """The value of an End element at an argument tuple."""
+    idx = 0
+    for a in args:
+        idx = idx * len(E.points) + E.points.index(a)
+    return element[idx]
+
+
+# -- operad reconstruction on value tuples ------------------------------------
+
+
+def grafted_two_level_tree(n, child_arities):
+    """The tree with an n-input root vertex whose i-th input carries a vertex
+    with child_arities[i] leaf inputs.  Returns (tree, slot address map)
+    where slots are addressed ('root',), ('slot', j), ('leaf', j, i)."""
+    raw_children = []
+    for k in child_arities:
+        raw_children.append((tuple((None, None) for _ in range(k)), None))
+    raw = (tuple(raw_children), None)
+    canon, cmap = canonicalize_node(raw)
+    tree = Tree(canon, _canonical=True)
+    slots = {("root",): ()}
+    for j in range(n):
+        slots[("slot", j)] = cmap[(j,)]
+        for i in range(child_arities[j]):
+            slots[("leaf", j, i)] = cmap[(j, i)]
+    return tree, slots
+
+
+class TupleReconstructedOperad(FiniteOperad):
+    """The operad carried by a strict-Segal dendroidal set.
+
+    Colors are the values at the one-edge tree; arity-n operations are the
+    values at the n-corolla sorted by their edge restrictions; composition
+    inverts the Segal bijection on a two-level grafted tree and restricts
+    along the full-corolla map; identities are degeneracy images.
+    """
+
+    name = "reconstructed"
+
+    def __init__(self, X, arity_bound, budget=None):
+        self.X = X
+        self.arity_bound = arity_bound
+        self.budget = budget
+        self.colors = tuple(X.values(ETA))
+        self._hom_index = {}
+        self._graft_index = {}
+        self._identities = None
+
+    def _corolla_index(self, n):
+        if n in self._hom_index:
+            return self._hom_index[n]
+        tn = corolla(n)
+        root_r = self.X.restrict(edge_inclusion(tn, ()))
+        leaf_r = [self.X.restrict(edge_inclusion(tn, (i,))) for i in range(n)]
+        index = {}
+        for el in self.X.values(tn):
+            sig = (tuple(r(el) for r in leaf_r), root_r(el))
+            index.setdefault(sig, []).append(el)
+        self._hom_index[n] = index
+        return index
+
+    def hom(self, inputs, output):
+        self.check_arity(len(inputs))
+        return tuple(self._corolla_index(len(inputs)).get((tuple(inputs), output), ()))
+
+    def identity(self, color):
+        if self._identities is None:
+            sigma = degeneracy_at(corolla(1), ())
+            # degeneracy: 1-corolla -> one-edge tree; its action makes identities
+            act = self.X.restrict(sigma)
+            self._identities = {c: act(c) for c in self.colors}
+        return self._identities[color]
+
+    def compose(self, parent, parent_sig, children, child_sigs):
+        n = parent_sig.arity
+        arities = tuple(s.arity for s in child_sigs)
+        tree, slots, index, total_r, sub_r = self._graft_data(n, arities)
+        family = (parent,) + tuple(children)
+        try:
+            z = index[family]
+        except KeyError:
+            raise DomainError(
+                "no grafted element restricting to the given family; "
+                "the dendroidal set is not strict Segal on the grafted tree"
+            )
+        return total_r(z)
+
+    def _graft_data(self, n, arities):
+        key = (n, arities)
+        if key in self._graft_index:
+            return self._graft_index[key]
+        tree, slots = grafted_two_level_tree(n, arities)
+        root_sub = OmegaMorphism(
+            corolla(n),
+            tree,
+            {(): ()} | {(j,): slots[("slot", j)] for j in range(n)},
+            _checked=True,
+        )
+        slot_subs = []
+        for j, k in enumerate(arities):
+            emap = {(): slots[("slot", j)]}
+            for i in range(k):
+                emap[(i,)] = slots[("leaf", j, i)]
+            slot_subs.append(OmegaMorphism(corolla(k), tree, emap, _checked=True))
+        m_total = sum(arities)
+        emap = {(): ()}
+        pos = 0
+        for j, k in enumerate(arities):
+            for i in range(k):
+                emap[(pos,)] = slots[("leaf", j, i)]
+                pos += 1
+        total = OmegaMorphism(corolla(m_total), tree, emap, _checked=True)
+
+        root_act = self.X.restrict(root_sub)
+        slot_acts = [self.X.restrict(s) for s in slot_subs]
+        index = {}
+        values = self.X.values(tree)
+        charge("reconstruction graft values", len(values), self.budget)
+        for z in values:
+            family = (root_act(z),) + tuple(act(z) for act in slot_acts)
+            if family in index:
+                raise DomainError(
+                    "grafted tree value restricts non-uniquely; "
+                    "the dendroidal set is not strict Segal"
+                )
+            index[family] = z
+        data = (tree, slots, index, self.X.restrict(total), (root_sub, slot_subs))
+        self._graft_index[key] = data
+        return data
+
+    def sigma(self, element, sig, perm):
+        n = len(perm)
+        act = self.X.restrict(leaf_relabel_automorphism(n, perm))
+        return act(element)
+
+    def element_str(self, element):
+        return str(element)

@@ -27,6 +27,7 @@ from dendrokit.operads import (
     Signature,
     ass_operad,
     com_operad,
+    composition_instances,
     end_operad,
     free_operad,
     omega_operad,
@@ -420,3 +421,108 @@ class TestReconstruction:
         )
         assert not witness.ok
         assert any(f["law"] in {"composition", "symmetry"} for f in witness.failures)
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the message of the DomainError it raises."""
+    try:
+        return ("value", fn(*args))
+    except DomainError as err:
+        return ("error", err.message)
+
+
+def reconstruction_operations(Q, bound):
+    """Every hom (in order), identity, composition instance and permutation
+    of a reconstructed operad within the bound, as outcomes."""
+    out = {}
+    for n in range(bound + 1):
+        for combo in itertools.product(Q.colors, repeat=n + 1):
+            out[("hom", combo)] = _outcome(Q.hom, combo[:n], combo[n])
+    for c in Q.colors:
+        out[("identity", c)] = _outcome(Q.identity, c)
+    sigs = [
+        Signature(combo[:-1], combo[-1])
+        for (_, combo), (kind, els) in out.items()
+        if kind == "value" and els
+    ]
+    for parent_sig, child_sigs in composition_instances(Q, bound, sigs):
+        pools = [Q.hom(s.inputs, s.output) for s in child_sigs]
+        for parent in Q.hom(parent_sig.inputs, parent_sig.output):
+            for children in itertools.product(*pools):
+                key = ("compose", parent_sig, parent, tuple(child_sigs), children)
+                out[key] = _outcome(Q.compose, parent, parent_sig, list(children), child_sigs)
+    for sig in sigs:
+        for perm in itertools.permutations(range(sig.arity)):
+            for el in Q.hom(sig.inputs, sig.output):
+                out[("sigma", sig, el, perm)] = _outcome(Q.sigma, el, sig, perm)
+    return out
+
+
+def reconstruction_table():
+    """The materialized table set of `test_reconstruction_from_table_set`."""
+    carrier = carrier_closure(
+        [corolla(1), corolla(3), parse_tree("((*)(**))"), parse_tree("((**)(**))")]
+    )
+    return materialize(nerve(ass_operad(4)), carrier)
+
+
+def repeated_grafted_value():
+    """The ass nerve on ((**)(**)) and its faces, with one more value at
+    ((**)(**)) that restricts like the first one along every stored map."""
+    top = parse_tree("((**)(**))")
+    X = materialize(nerve(ass_operad(4)), carrier_closure([top]))
+    values = dict(X._values)
+    first = values[top][0]
+    values[top] += ("repeat",)
+    actions = {}
+    for key, table in X._actions.items():
+        table = dict(table)
+        if first in table:
+            table["repeat"] = table[first]
+        actions[key] = table
+    return TableDendroidalSet(X.trees, values, actions, name="repeat")
+
+
+RECONSTRUCTION_CASES = {
+    "com": lambda: (nerve(com_operad()), 3),
+    "ass": lambda: (nerve(ass_operad(4)), 3),
+    "end01": lambda: (nerve(end_operad((0, 1), 2)), 2),
+    "free": lambda: (nerve(free_operad(one_binary_generator(), 4)), 3),
+    "omega": lambda: (nerve(omega_operad(parse_tree("((**)(**))"))), 3),
+    "table": lambda: (reconstruction_table(), 3),
+}
+
+
+class TestReconstructionMatchesOracle:
+    @pytest.mark.parametrize("case", list(RECONSTRUCTION_CASES))
+    def test_operations_match_tuple_oracle(self, case):
+        X, bound = RECONSTRUCTION_CASES[case]()
+        expected = reconstruction_operations(
+            oracles.TupleReconstructedOperad(X, bound), bound
+        )
+        got = reconstruction_operations(reconstruct_operad(X, bound), bound)
+        assert got == expected
+        kinds = {key[0] for key, (kind, _) in got.items() if kind == "value"}
+        assert kinds == {"hom", "identity", "compose", "sigma"}
+
+    @pytest.mark.parametrize("case", ["not-injective", "outside-core", "not-surjective"])
+    def test_two_level_tables_raise_the_same_errors(self, case):
+        X, _ = SEGAL_CASES[case]()
+        expected = reconstruction_operations(oracles.TupleReconstructedOperad(X, 2), 2)
+        got = reconstruction_operations(reconstruct_operad(X, 2), 2)
+        assert got == expected
+        assert ("error", "missing generator action") in got.values()
+
+    def test_repeated_grafted_value_raises_the_same_error(self):
+        X = repeated_grafted_value()
+        color = X.values(leaf_tree())[0]
+        sig = Signature((color, color), color)
+        outcomes = []
+        for Q in (oracles.TupleReconstructedOperad(X, 2), reconstruct_operad(X, 2)):
+            p = Q.hom(sig.inputs, sig.output)[0]
+            outcomes.append(_outcome(Q.compose, p, sig, [p, p], [sig, sig]))
+        assert outcomes[0] == outcomes[1] == (
+            "error",
+            "grafted tree value restricts non-uniquely; "
+            "the dendroidal set is not strict Segal",
+        )

@@ -93,7 +93,9 @@ class TestEnd:
         sig1 = Signature(("x",), "x")
         out = E.compose(first, sig2, [neg, neg], [sig1, sig1])
         # f(g(a), g(b)) = g(a) = not a
-        assert out == tuple(E.evaluate(neg, (a,)) for a, b in E._args(2))
+        assert out == tuple(
+            oracles.end_evaluate(E, neg, (a,)) for a, b in oracles.end_args(E, 2)
+        )
 
     def test_swapping_changes_nonsymmetric_function(self):
         E = end_operad((0, 1), 2)
@@ -110,22 +112,22 @@ class TestEnd:
 
 def _substitute(E, parent, children, arities):
     """f(g_1(block 1), ..., g_k(block k)) over every argument tuple, read
-    through `evaluate`."""
+    through the substitution reference `oracles.end_evaluate`."""
     out = []
-    for args in E._args(sum(arities)):
+    for args in oracles.end_args(E, sum(arities)):
         mids = []
         pos = 0
         for child, k in zip(children, arities):
-            mids.append(E.evaluate(child, args[pos : pos + k]))
+            mids.append(oracles.end_evaluate(E, child, args[pos : pos + k]))
             pos += k
-        out.append(E.evaluate(parent, tuple(mids)))
+        out.append(oracles.end_evaluate(E, parent, tuple(mids)))
     return tuple(out)
 
 
 class TestEndThreePoints:
     """End({0, 1, 2}) at arity bound 2: composition plans against direct
     substitution for every arity shape, and the permutation plans against
-    `evaluate`.  Homs of up to 27 elements are used whole; the 19,683
+    `oracles.end_evaluate`.  Homs of up to 27 elements are used whole; the 19,683
     binary operations are sampled."""
 
     E = end_operad((0, 1, 2), 2)
@@ -160,8 +162,8 @@ class TestEndThreePoints:
                 inv = perm_inverse(perm)
                 for el in E.hom(sig.inputs, sig.output):
                     expected = tuple(
-                        E.evaluate(el, tuple(args[inv[j]] for j in range(n)))
-                        for args in E._args(n)
+                        oracles.end_evaluate(E, el, tuple(args[inv[j]] for j in range(n)))
+                        for args in oracles.end_args(E, n)
                     )
                     assert E.sigma(el, sig, perm) == expected
 
