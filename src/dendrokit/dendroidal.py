@@ -6,9 +6,11 @@ strategies are provided:
 
 - :class:`NerveDendroidalSet` is the nerve of a finite operad: the value at a
   tree is the set of operad maps out of the tree's operad (a color per edge
-  plus an operation per vertex), and restrictions are computed structurally
-  by evaluating operation witnesses.  Values are computed on demand for
-  every tree within the operad's arity bound and never cached.
+  plus an operation per vertex).  A restriction compiles each vertex's
+  operation witness, once per coloring of the target, into a flat program of
+  decoration picks, identities, compositions and permutations, and runs it
+  on every value.  Values are computed on demand for every tree within the
+  operad's arity bound and never cached.
 - :class:`TableDendroidalSet` stores explicit value sets and generator
   actions (elementary faces, degeneracies, automorphisms); restrictions along
   arbitrary maps are derived by factorization.
@@ -48,7 +50,7 @@ from .morphisms import (
     factorize,
     operation_exists,
 )
-from .operads import FiniteOperad, Signature, eval_witness, perm_inverse
+from .operads import FiniteOperad, Signature, perm_inverse
 from .trees import (
     Tree,
     automorphisms,
@@ -218,47 +220,56 @@ class NerveDendroidalSet:
         return colorings
 
     def restrict(self, m: OmegaMorphism):
-        """The contravariant action: a function values(target) -> values(source)."""
+        """The contravariant action: a function values(target) -> values(source).
+
+        A source vertex whose witness is a single target vertex with identity
+        inputs in order picks that vertex's decoration.  Every other witness
+        is compiled, once per coloring of the target, into a post-order
+        program that makes the operad calls of evaluating the witness
+        recursively (the unit law skips a vertex with identity inputs in
+        order), with the same arguments and in the same order.
+        """
         source, target = m.source, m.target
         edge_pos = {e: i for i, e in enumerate(target.edges)}
         vertex_pos = {v: i for i, v in enumerate(target.vertices)}
         color_plan = tuple(edge_pos[m(e)] for e in source.edges)
-        # per source vertex: either a direct pick of one target decoration
-        # (witness is a single vertex with identity inputs in order) or a
-        # full witness evaluation
-        plans = []
-        for v in source.vertices:
-            w = operation_exists(target, m(v), tuple(m(c) for c in source.children(v)))
-            if (
-                not w.is_identity
-                and all(c.is_identity for c in w.children)
-                and w.perm == tuple(range(len(w.perm)))
-            ):
-                plans.append(vertex_pos[w.output])
-            else:
-                plans.append(w)
+        witnesses = [
+            operation_exists(target, m(v), tuple(m(c) for c in source.children(v)))
+            for v in source.vertices
+        ]
+        if all(_is_vertex_pick(w) for w in witnesses):
+            picks = tuple(vertex_pos[w.output] for w in witnesses)
+
+            def pick(element):
+                colors, decs = element
+                return (tuple([colors[i] for i in color_plan]), tuple([decs[i] for i in picks]))
+
+            return pick
         P = self.operad
-        target_edges = target.edges
-        target_vertices = target.vertices
+        programs = {}
 
         def act(element):
             colors, decs = element
-            new_colors = tuple(colors[i] for i in color_plan)
-            new_decs = []
-            color_of = None
-            for plan in plans:
-                if type(plan) is int:
-                    new_decs.append(decs[plan])
-                    continue
-                if color_of is None:
-                    color_of = dict(zip(target_edges, colors))
-                    dec_of = dict(zip(target_vertices, decs))
-                if plan.is_identity:
-                    new_decs.append(P.identity(color_of[plan.output]))
+            program = programs.get(colors)
+            if program is None:
+                program = programs[colors] = _compile_restriction(
+                    witnesses, target, colors, edge_pos, vertex_pos
+                )
+            stack = []
+            for op, arg, sig, n, child_sigs, perm, concat_sig in program:
+                if op is _PICK:
+                    stack.append(decs[arg])
+                elif op is _IDENTITY:
+                    stack.append(P.identity(arg))
                 else:
-                    el, _sig = eval_witness(plan, target, color_of, dec_of, P)
-                    new_decs.append(el)
-            return (new_colors, tuple(new_decs))
+                    k = len(stack) - n
+                    children = stack[k:]
+                    del stack[k:]
+                    el = P.compose(decs[arg], sig, children, list(child_sigs))
+                    if perm is not None:
+                        el = P.sigma(el, concat_sig, perm)
+                    stack.append(el)
+            return (tuple([colors[i] for i in color_plan]), tuple(stack))
 
         return act
 
@@ -269,6 +280,50 @@ class NerveDendroidalSet:
             parts.append("|".join(str(c) for c in colors))
         parts.extend(self.operad.element_str(d) for d in decs)
         return ";".join(parts) if parts else "*"
+
+
+# restriction program steps: (op, arg, sig, n, child_sigs, perm, concat_sig)
+_PICK, _IDENTITY, _COMPOSE = "pick", "identity", "compose"
+
+
+def _is_vertex_pick(w):
+    """Whether the witness is one vertex with identity inputs in order."""
+    return (
+        not w.is_identity
+        and all(c.is_identity for c in w.children)
+        and w.perm == tuple(range(len(w.perm)))
+    )
+
+
+def _compile_restriction(witnesses, target, colors, edge_pos, vertex_pos):
+    """The post-order program evaluating `witnesses` in turn on the target
+    decorations, at the coloring `colors` of `target`."""
+    program = []
+
+    def emit(w):
+        # append the steps evaluating `w` and return its signature
+        out = colors[edge_pos[w.output]]
+        if w.is_identity:
+            program.append((_IDENTITY, out, None, 0, None, None, None))
+            return Signature((out,), out)
+        kids = target.children(w.output)
+        parent_sig = Signature(tuple(colors[edge_pos[c]] for c in kids), out)
+        vi = vertex_pos[w.output]
+        if _is_vertex_pick(w):
+            program.append((_PICK, vi, None, 0, None, None, None))
+            return parent_sig
+        child_sigs = tuple(emit(c) for c in w.children)
+        concat = tuple(c for s in child_sigs for c in s.inputs)
+        sig = Signature(concat, out)
+        perm = None if w.perm == tuple(range(len(w.perm))) else w.perm
+        program.append((_COMPOSE, vi, parent_sig, len(child_sigs), child_sigs, perm, sig))
+        if perm is None:
+            return sig
+        return Signature(tuple(concat[i] for i in perm), out)
+
+    for w in witnesses:
+        emit(w)
+    return tuple(program)
 
 
 def nerve(operad: FiniteOperad, trees=None, budget=None) -> NerveDendroidalSet:
@@ -364,19 +419,32 @@ class TableDendroidalSet:
         return str(element)
 
     def to_json(self):
+        text = {}  # str of every value met, so that each is stringified once
+
+        def as_text(e):
+            s = text.get(e)
+            if s is None:
+                s = text[e] = str(e)
+            return s
+
         trees = [t.term for t in self.trees]
-        values = {t.term: [str(e) for e in self._values[t]] for t in self.trees}
+        values = {t.term: [as_text(e) for e in self._values[t]] for t in self.trees}
+        by_key = {t.key: t for t in self.trees}
         actions = []
-        by_key = {}
-        for t in self.trees:
-            by_key[t.key] = t
-        for (skey, tkey, pairs), table in sorted(self._actions.items(), key=str):
-            source, target = by_key[skey], by_key[tkey]
-            m = OmegaMorphism(source, target, dict(pairs), _checked=True)
+        # entries in the order of str((key, item)): keys are distinct and
+        # their reprs are prefix-free literals, so repr(key) alone fixes it;
+        # a tuple's repr is its str
+        for skey, tkey, pairs in sorted(self._actions, key=repr):
+            table = self._actions[skey, tkey, pairs]
+            m = OmegaMorphism(by_key[skey], by_key[tkey], dict(pairs), _checked=True)
+            rows = sorted(
+                ((as_text(k) if type(k) is tuple else repr(k), k, v) for k, v in table.items()),
+                key=lambda row: row[0],
+            )
             actions.append(
                 {
                     "morphism": m.to_json(),
-                    "map": {str(k): str(v) for k, v in sorted(table.items(), key=str)},
+                    "map": {as_text(k): as_text(v) for _, k, v in rows},
                 }
             )
         return {"trees": trees, "values": values, "actions": actions}

@@ -51,7 +51,10 @@ def resolve_budget(budget=None):
         return int(budget)
     env = os.environ.get("DENDRO_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DomainError("invalid DENDRO_BUDGET", {"value": env}) from None
     return DEFAULT_BUDGET
 
 

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, DomainError, charge, resolve_budget
-from .morphisms import OpWitness, _input_sets
+from .morphisms import _input_sets
 from .trees import Tree
 
 
@@ -354,43 +354,6 @@ class TreeOperad(FiniteOperad):
 
 def omega_operad(tree: Tree) -> TreeOperad:
     return TreeOperad(tree)
-
-
-# -- witness evaluation -------------------------------------------------------
-
-
-def eval_witness(witness: OpWitness, tree: Tree, edge_color, vertex_element, operad):
-    """Evaluate a composite-operation witness of `tree` inside `operad`.
-
-    `edge_color` maps tree edges to operad colors and `vertex_element` maps
-    vertex addresses to operad elements whose signature matches the colored
-    vertex.  Returns (element, Signature).
-    """
-    out_color = edge_color[witness.output]
-    if witness.is_identity:
-        sig = Signature((out_color,), out_color)
-        return operad.identity(out_color), sig
-    kids = tree.children(witness.output)
-    parent_sig = Signature(tuple(edge_color[c] for c in kids), out_color)
-    parent = vertex_element[witness.output]
-    if all(w.is_identity for w in witness.children) and witness.perm == tuple(
-        range(len(witness.perm))
-    ):
-        # unit law: composing with identities in every slot returns the parent
-        return parent, parent_sig
-    children = []
-    child_sigs = []
-    for w in witness.children:
-        el, sig = eval_witness(w, tree, edge_color, vertex_element, operad)
-        children.append(el)
-        child_sigs.append(sig)
-    element = operad.compose(parent, parent_sig, children, child_sigs)
-    concat_inputs = tuple(c for s in child_sigs for c in s.inputs)
-    sig = Signature(concat_inputs, out_color)
-    if witness.perm and witness.perm != tuple(range(len(witness.perm))):
-        element = operad.sigma(element, sig, witness.perm)
-        sig = Signature(tuple(concat_inputs[i] for i in witness.perm), out_color)
-    return element, sig
 
 
 # -- collections and free operads ---------------------------------------------

@@ -446,7 +446,8 @@ def cobound_index(n, budget=None) -> CoboundIndex:
 
 @dataclass(frozen=True)
 class Configuration:
-    """k ordered points in R^n; rejects coincident points on construction."""
+    """k ordered points in R^n; rejects non-finite and coincident points on
+    construction."""
 
     points: np.ndarray
 
@@ -457,6 +458,8 @@ class Configuration:
             raise DomainError("points must be a k x n array") from None
         if pts.ndim != 2:
             raise DomainError("points must be a k x n array")
+        if not np.isfinite(pts).all():
+            raise DomainError("points must be finite")
         object.__setattr__(self, "points", pts)
         k = pts.shape[0]
         for i in range(k):

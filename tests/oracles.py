@@ -13,7 +13,11 @@ innermost loop; the library's checker shares loop-invariant work.  End
 operads are checked against substitution through `end_evaluate`.  The
 reference reconstruction restricts every value of a grafted tree to its
 root and slot subcorollas and hashes the family of value tuples; the
-library's reads the Segal check's boundary table and index columns.
+library's reads the Segal check's boundary table and index columns.  The
+reference nerve restriction evaluates every operation witness recursively
+per value; the library's runs programs compiled from the witnesses.  The
+reference table JSON writer orders entries by stringifying whole items; the
+library's orders them by the repr of their keys.
 """
 
 import itertools
@@ -29,10 +33,12 @@ from dendrokit.errors import DomainError, charge
 from dendrokit.morphisms import (
     Face,
     OmegaMorphism,
+    OpWitness,
     contract_inner_edge,
     degeneracy_at,
     hom_set,
     max_operation_arity,
+    operation_exists,
 )
 from dendrokit.operads import (
     AxiomReport,
@@ -703,3 +709,111 @@ class TupleReconstructedOperad(FiniteOperad):
 
     def element_str(self, element):
         return str(element)
+
+
+# -- nerve restriction by witness evaluation -----------------------------------
+
+
+def eval_witness(witness: OpWitness, tree: Tree, edge_color, vertex_element, operad):
+    """Evaluate a composite-operation witness of `tree` inside `operad`.
+
+    `edge_color` maps tree edges to operad colors and `vertex_element` maps
+    vertex addresses to operad elements whose signature matches the colored
+    vertex.  Returns (element, Signature).
+    """
+    out_color = edge_color[witness.output]
+    if witness.is_identity:
+        sig = Signature((out_color,), out_color)
+        return operad.identity(out_color), sig
+    kids = tree.children(witness.output)
+    parent_sig = Signature(tuple(edge_color[c] for c in kids), out_color)
+    parent = vertex_element[witness.output]
+    if all(w.is_identity for w in witness.children) and witness.perm == tuple(
+        range(len(witness.perm))
+    ):
+        # unit law: composing with identities in every slot returns the parent
+        return parent, parent_sig
+    children = []
+    child_sigs = []
+    for w in witness.children:
+        el, sig = eval_witness(w, tree, edge_color, vertex_element, operad)
+        children.append(el)
+        child_sigs.append(sig)
+    element = operad.compose(parent, parent_sig, children, child_sigs)
+    concat_inputs = tuple(c for s in child_sigs for c in s.inputs)
+    sig = Signature(concat_inputs, out_color)
+    if witness.perm and witness.perm != tuple(range(len(witness.perm))):
+        element = operad.sigma(element, sig, witness.perm)
+        sig = Signature(tuple(concat_inputs[i] for i in witness.perm), out_color)
+    return element, sig
+
+
+def witness_restrict(X, m: OmegaMorphism):
+    """The nerve X's contravariant action along `m`, evaluating the witness
+    of every source vertex per value."""
+    source, target = m.source, m.target
+    edge_pos = {e: i for i, e in enumerate(target.edges)}
+    vertex_pos = {v: i for i, v in enumerate(target.vertices)}
+    color_plan = tuple(edge_pos[m(e)] for e in source.edges)
+    # per source vertex: either a direct pick of one target decoration
+    # (witness is a single vertex with identity inputs in order) or a
+    # full witness evaluation
+    plans = []
+    for v in source.vertices:
+        w = operation_exists(target, m(v), tuple(m(c) for c in source.children(v)))
+        if (
+            not w.is_identity
+            and all(c.is_identity for c in w.children)
+            and w.perm == tuple(range(len(w.perm)))
+        ):
+            plans.append(vertex_pos[w.output])
+        else:
+            plans.append(w)
+    P = X.operad
+    target_edges = target.edges
+    target_vertices = target.vertices
+
+    def act(element):
+        colors, decs = element
+        new_colors = tuple(colors[i] for i in color_plan)
+        new_decs = []
+        color_of = None
+        for plan in plans:
+            if type(plan) is int:
+                new_decs.append(decs[plan])
+                continue
+            if color_of is None:
+                color_of = dict(zip(target_edges, colors))
+                dec_of = dict(zip(target_vertices, decs))
+            if plan.is_identity:
+                new_decs.append(P.identity(color_of[plan.output]))
+            else:
+                el, _sig = eval_witness(plan, target, color_of, dec_of, P)
+                new_decs.append(el)
+        return (new_colors, tuple(new_decs))
+
+    return act
+
+
+# -- table JSON by whole-item order ---------------------------------------------
+
+
+def table_to_json(X):
+    """A TableDendroidalSet's JSON payload, sorting actions and map entries
+    by the str of the whole (key, item) pair."""
+    trees = [t.term for t in X.trees]
+    values = {t.term: [str(e) for e in X._values[t]] for t in X.trees}
+    actions = []
+    by_key = {}
+    for t in X.trees:
+        by_key[t.key] = t
+    for (skey, tkey, pairs), table in sorted(X._actions.items(), key=str):
+        source, target = by_key[skey], by_key[tkey]
+        m = OmegaMorphism(source, target, dict(pairs), _checked=True)
+        actions.append(
+            {
+                "morphism": m.to_json(),
+                "map": {str(k): str(v) for k, v in sorted(table.items(), key=str)},
+            }
+        )
+    return {"trees": trees, "values": values, "actions": actions}

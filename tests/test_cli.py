@@ -257,6 +257,18 @@ class TestInputErrors:
         payload = self.error_of("fm-embed", "--points", str(path))
         assert payload["error"] == "points must be a k x n array"
 
+    @pytest.mark.parametrize("coordinate", ["NaN", "Infinity", "-Infinity"])
+    def test_fm_embed_non_finite_points(self, tmp_path, coordinate):
+        path = tmp_path / "points.json"
+        path.write_text(f"[[0,0],[1,{coordinate}],[2,1]]")
+        payload = self.error_of("fm-embed", "--points", str(path))
+        assert payload == {"error": "points must be finite", "detail": {}}
+
+    def test_non_integer_budget(self, monkeypatch):
+        monkeypatch.setenv("DENDRO_BUDGET", "1e6")
+        payload = self.error_of("enum-trees", "--max-edges", "3")
+        assert payload == {"error": "invalid DENDRO_BUDGET", "detail": {"value": "1e6"}}
+
 
 DETERMINISM_COMMANDS = [
     ("psi", "4", "--json"),

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 
 import numpy as np
 import oracles
@@ -21,9 +23,10 @@ from dendrokit.dendroidal import (
     verify_operad_isomorphism,
 )
 from dendrokit.errors import BudgetExceeded, DomainError
-from dendrokit.fixtures import load_dendroidal
+from dendrokit.fixtures import load_dendroidal, load_operad
 from dendrokit.morphisms import OmegaMorphism, hom_set
 from dendrokit.operads import (
+    FiniteOperad,
     Signature,
     ass_operad,
     com_operad,
@@ -526,3 +529,142 @@ class TestReconstructionMatchesOracle:
             "grafted tree value restricts non-uniquely; "
             "the dendroidal set is not strict Segal",
         )
+
+
+class CallLog(FiniteOperad):
+    """An operad that forwards to `P` and logs the identity, compose and
+    sigma calls it receives, with their arguments as given."""
+
+    def __init__(self, P):
+        self.P = P
+        self.colors = P.colors
+        self.arity_bound = P.arity_bound
+        self.calls = []
+
+    def hom(self, inputs, output):
+        return self.P.hom(inputs, output)
+
+    def identity(self, color):
+        self.calls.append(("identity", color))
+        return self.P.identity(color)
+
+    def compose(self, parent, parent_sig, children, child_sigs):
+        self.calls.append(("compose", parent, parent_sig, children, child_sigs))
+        return self.P.compose(parent, parent_sig, children, child_sigs)
+
+    def sigma(self, element, sig, perm):
+        self.calls.append(("sigma", element, sig, perm))
+        return self.P.sigma(element, sig, perm)
+
+
+def _payload_outcome(fn, x):
+    """The result of fn(x), or the payload of the DomainError it raises."""
+    try:
+        return ("value", fn(x))
+    except DomainError as err:
+        return ("error", err.payload())
+
+
+def compare_restrictions(P, trees):
+    """Restrict every value of the nerve of `P` along every map among
+    `trees`, compiled and by the witness-evaluating oracle.  Returns the
+    (map, value) pairs where the two differ in outcome or in the operad
+    calls they make, and the count of each outcome: "value" or an error
+    message."""
+    log = CallLog(P)
+    X = nerve(log)
+    values = {t: X.values(t) for t in trees}
+    mismatches, kinds = [], collections.Counter()
+    for s, t in itertools.product(trees, repeat=2):
+        for m in hom_set(s, t):
+            compiled, reference = X.restrict(m), oracles.witness_restrict(X, m)
+            for x in values[t]:
+                outcomes = []
+                for act in (compiled, reference):
+                    log.calls = []
+                    outcomes.append((_payload_outcome(act, x), log.calls))
+                if outcomes[0] != outcomes[1]:
+                    mismatches.append((m.to_json(), x, outcomes))
+                kind, result = outcomes[0][0]
+                kinds[result["error"] if kind == "error" else kind] += 1
+    return mismatches, kinds
+
+
+class TestCompiledRestriction:
+    """The compiled nerve restriction agrees with recursive witness
+    evaluation on every value along every map: same result or error, same
+    operad calls with equal arguments in the same order."""
+
+    @pytest.mark.parametrize(
+        "factory,carrier",
+        [
+            (com_operad, (3, 3)),
+            (lambda: ass_operad(4), (3, 3)),
+            (lambda: free_operad(one_binary_generator(), 4), (3, 3)),
+            (lambda: end_operad((0, 1), 2), (3, 2)),
+            (lambda: omega_operad(parse_tree("((**)(**))")), (3, 3)),
+        ],
+        ids=["com", "ass", "free", "end01", "omega"],
+    )
+    def test_matches_witness_evaluation(self, factory, carrier):
+        mismatches, kinds = compare_restrictions(
+            factory(), enumerate_trees_by_vertices(*carrier)
+        )
+        assert mismatches == []
+        assert list(kinds) == ["value"]
+
+    def test_missing_composition_entry_raises_the_same_error(self):
+        P = load_operad("ass.operad.json")
+        key = next(
+            k for k in P.composition_keys() if tuple(len(s[0]) for s in k[3]) == (1, 2)
+        )
+        del P._comp[key]
+        mismatches, kinds = compare_restrictions(P, enumerate_trees_by_vertices(2, 3))
+        assert mismatches == []
+        assert set(kinds) == {"value", "missing composition table entry"}
+
+
+def quoted_table():
+    """A table set read from JSON whose values contain spaces, quotes and
+    parentheses, with actions along the edge inclusions of (**)."""
+    eta, c2 = leaf_tree(), corolla(2)
+    at_edge = ["a b", "it's", 'say "x"', "(p)", "q)(", "'", ""]
+    at_c2 = ["f (a, b)", "g's", '"h"', "(", ")"]
+    actions = [
+        {
+            "morphism": edge_inclusion(c2, e).to_json(),
+            "map": {v: at_edge[(i + j) % len(at_edge)] for j, v in enumerate(at_c2)},
+        }
+        for i, e in enumerate(c2.edges)
+    ]
+    payload = {
+        "trees": [eta.term, c2.term],
+        "values": {eta.term: at_edge, c2.term: at_c2},
+        "actions": actions,
+    }
+    return TableDendroidalSet.from_json(payload, name="quoted")
+
+
+class TestTableJson:
+    """`to_json` orders entries as the whole-item oracle does."""
+
+    @pytest.mark.parametrize(
+        "factory,carrier",
+        [
+            (lambda: ass_operad(4), (3, 3)),
+            (lambda: end_operad((0, 1), 2), (3, 2)),
+            (lambda: omega_operad(parse_tree("((**)(**))")), (3, 3)),
+        ],
+        ids=["ass", "end01", "omega"],
+    )
+    def test_materialized_nerve_matches_oracle(self, factory, carrier):
+        table = materialize(nerve(factory()), enumerate_trees_by_vertices(*carrier))
+        assert json.dumps(table.to_json()) == json.dumps(oracles.table_to_json(table))
+
+    def test_quoted_string_values_match_oracle(self):
+        table = quoted_table()
+        got = table.to_json()
+        assert json.dumps(got) == json.dumps(oracles.table_to_json(table))
+        # a string's repr, not its str, orders the entries
+        keys = list(got["actions"][0]["map"])
+        assert keys == sorted(keys, key=repr) != sorted(keys)

@@ -17,7 +17,6 @@ from dendrokit.operads import (
     check_operad_axioms,
     com_operad,
     end_operad,
-    eval_witness,
     free_operad,
     omega_operad,
     one_binary_generator,
@@ -304,7 +303,7 @@ class TestEvalWitness:
         for v in t.vertices:
             k = len(t.children(v))
             decs[v] = tuple(range(k))  # the order-preserving element
-        el, sig = eval_witness(w, t, colors, decs, A)
+        el, sig = oracles.eval_witness(w, t, colors, decs, A)
         assert sig.arity == 3
         assert el in A.hom(("x",) * 3, "x")
 
