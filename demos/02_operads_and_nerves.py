@@ -3,12 +3,7 @@
     python demos/02_operads_and_nerves.py
 """
 
-from dendrokit.dendroidal import (
-    is_strict_segal,
-    nerve,
-    nerve_round_trip,
-    segal_core_hom,
-)
+from dendrokit.dendroidal import is_strict_segal, nerve, nerve_round_trip
 from dendrokit.operads import (
     Collection,
     ass_operad,
@@ -52,8 +47,9 @@ X = nerve(A)
 print(f"nerve(Ass) at the 3-corolla has {len(X.values(corolla(3)))} elements (3!)")
 print(f"nerve(Com) is a point everywhere: {len(nerve(com_operad()).values(parse_tree('((**)(**))')))}")
 
-core = segal_core_hom(X, parse_tree("((**)*)"))
-print(f"core families at ((**)*): {len(core)} (pairs of binary orders)")
+grafted = parse_tree("((**)*)")
+print(f"nerve(Ass) at ((**)*) has {len(X.values(grafted))} elements "
+      "(pairs of binary orders: one per Segal core family)")
 
 carrier = enumerate_trees_by_vertices(3, 3)
 for P in (com_operad(), A, free_operad(one_binary_generator(), 4)):

@@ -15,9 +15,9 @@ strategies are provided:
   actions (elementary faces, degeneracies, automorphisms); restrictions along
   arbitrary maps are derived by factorization.
 
-On top of these sit the Segal-core machinery (families of corolla values
-agreeing on shared edges), the exact strict-Segal bijection check, and the
-reconstruction of an operad from any strict-Segal dendroidal set.
+On top of these sit the corolla boundary tables of the Segal core, the
+exact strict-Segal bijection check, and the reconstruction of an operad
+from any strict-Segal dendroidal set.
 
 The strict-Segal check and the reconstruction read the Segal core the same
 way, and neither hashes value tuples.  Per corolla arity, a boundary table
@@ -548,39 +548,6 @@ def _corolla_boundary(X, k, edge_ids):
     return CorollaBoundary(values, index, root, leaves)
 
 
-def segal_core_hom(X, t: Tree, budget=None):
-    """Families of corolla values, one per vertex of `t`, agreeing on shared
-    edges under the one-edge-tree restrictions.  For the one-edge tree the
-    core is the value set itself."""
-    verts = t.vertices
-    if not verts:
-        return tuple((v,) for v in X.values(t))
-    boundary, edge_ids = {}, {}
-    families = [({}, ())]
-    total = 1
-    for v in verts:
-        k = len(t.children(v))
-        if k not in boundary:
-            boundary[k] = _corolla_boundary(X, k, edge_ids)
-        b = boundary[k]
-        new = []
-        for edge_vals, chosen in families:
-            for el, root_id, leaf_ids in zip(b.values, b.root.tolist(), b.leaves.tolist()):
-                assignment = dict(edge_vals)
-                ok = True
-                for edge, val in [(v, root_id)] + list(zip(t.children(v), leaf_ids)):
-                    if edge in assignment and assignment[edge] != val:
-                        ok = False
-                        break
-                    assignment[edge] = val
-                if ok:
-                    new.append((assignment, chosen + (el,)))
-        families = new
-        total = max(total, len(families))
-        charge("segal core families", total, budget)
-    return tuple(chosen for _assignment, chosen in families)
-
-
 @dataclass
 class SegalReport:
     name: str
@@ -825,12 +792,10 @@ class ReconstructedOperad(FiniteOperad):
         The slot order lists, per vertex of the tree, the family member at it
         and the table from that member to its column id.  Slot j is the
         root's pos[j]-th input, so the parent, given in slot order, reaches
-        the root's column through a leaf relabelling."""
+        the root's column through a leaf relabelling.  The grafted tree's
+        values are read before the full-corolla restriction is derived, so
+        a tree outside a table set's carrier is named as such."""
         tree, cmap = grafted_two_level_tree(arities)
-        leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
-        total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
-        total = OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
-        total_r = self.X.restrict(total)
         order = perm_inverse([cmap[(j,)][0] for j in range(n)])  # inverse of pos
         b = self._corolla(n)
         relabel = self.X.restrict(leaf_relabel_automorphism(n, order))
@@ -839,7 +804,10 @@ class ReconstructedOperad(FiniteOperad):
         slot_order.extend((1 + j, self._corolla(arities[j]).index) for j in order)
         if tree not in self._graft_rows:
             self._graft_rows[tree] = self._grafted_rows(tree)
-        return slot_order, total_r, self._graft_rows[tree]
+        leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
+        total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
+        total = OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
+        return slot_order, self.X.restrict(total), self._graft_rows[tree]
 
     def _grafted_rows(self, tree):
         """The values at a grafted tree keyed by their Segal columns' ids,

@@ -3,7 +3,10 @@
 The compactified space of k points in R^n modulo translation and scaling is
 a manifold with corners; its strata are indexed by rooted trees with k
 labelled leaves and no vertices of valence one or two, ordered by
-contraction of inner edges (the corolla is the open interior).  A stratum
+contraction of inner edges (the corolla is the open interior).  Following
+Fulton and MacPherson, a tree is held as its nested set: the leaf sets of
+its non-root vertices.  Contracting an inner edge drops one such set, so
+s <= t exactly when t's nested set is contained in s's.  A stratum
 whose tree has vertex valences k_1..k_l has dimension sum_i (n(k_i-2)-1);
 the whole level has dimension n(k-1)-1 for k >= 2 and levels 0 and 1 are
 single points.
@@ -55,13 +58,16 @@ class LabelledTree:
     Stored as a canonical nested structure: a leaf is an int label, a vertex
     is a tuple of children sorted by serialized sub-term.  Isomorphisms must
     respect the labelling, so distinct labellings are distinct elements.
+    `clusters` is the tree's nested set: the leaf-label bitmasks of its
+    non-root vertices.
     """
 
-    __slots__ = ("_node", "_hash")
+    __slots__ = ("_node", "_hash", "clusters")
 
     def __init__(self, node):
         self._node = _canon_labelled(node)
         self._hash = hash(self._node)
+        self.clusters = _clusters(self._node)
 
     @property
     def node(self):
@@ -100,34 +106,15 @@ class LabelledTree:
 
     @property
     def n_vertices(self):
-        return len(self.valences())
+        return len(self.clusters) + 1
 
     @property
     def n_inner_edges(self):
         # every non-root vertex sits on top of one inner edge
-        return self.n_vertices - 1
+        return len(self.clusters)
 
     def is_corolla(self):
-        return all(isinstance(c, int) for c in self._node)
-
-    def contractions(self):
-        """All single inner-edge contractions (one step up the poset)."""
-        results = []
-
-        def rec(node, rebuild):
-            if isinstance(node, int):
-                return
-            for i, child in enumerate(node):
-                if isinstance(child, int):
-                    continue
-                # contract the edge below `child`: splice its children up
-                spliced = node[:i] + child + node[i + 1 :]
-                results.append(rebuild(spliced))
-                rec(child, lambda new, i=i, node=node, rebuild=rebuild:
-                    rebuild(node[:i] + (new,) + node[i + 1 :]))
-
-        rec(self._node, lambda n: n)
-        return [LabelledTree(n) for n in results]
+        return not self.clusters
 
     @classmethod
     def from_tree(cls, t: Tree) -> "LabelledTree":
@@ -172,6 +159,23 @@ class LabelledTree:
         return f"LabelledTree({self.term!r})"
 
 
+def _clusters(node):
+    """Leaf-label bitmasks of the vertices of `node` other than its root."""
+    out = []
+
+    def mask(sub):
+        if isinstance(sub, int):
+            return 1 << sub
+        m = 0
+        for c in sub:
+            m |= mask(c)
+        out.append(m)
+        return m
+
+    mask(node)
+    return frozenset(out[:-1])  # post-order: the root's mask comes last
+
+
 def _canon_labelled(node):
     if isinstance(node, int):
         return node
@@ -197,29 +201,19 @@ class StratPoset:
     """Leaf-labelled trees with the contraction order.
 
     ``leq(s, t)`` holds when t is obtained from s by contracting inner edges,
-    so the corolla is the unique maximal element and the closure of a stratum
-    is its down-set.
+    that is when t's nested set is a subset of s's, so the corolla (the
+    empty nested set) is the unique maximal element and the closure of a
+    stratum is its down-set.
     """
 
     k: int
     elements: tuple
     _index: dict
-    _leq: tuple  # bitmask per element: up-set including itself
 
     @classmethod
     def build(cls, k, trees):
         elements = tuple(sorted(trees, key=lambda t: (-t.n_vertices, t.term)))
-        index = {t: i for i, t in enumerate(elements)}
-        n = len(elements)
-        up = [1 << i for i in range(n)]
-        # transitive closure over single contractions, from coarse to fine;
-        # elements are sorted with more vertices first, so contraction
-        # targets appear later and are already complete when visited
-        for i in range(n - 1, -1, -1):
-            for target in elements[i].contractions():
-                if target in index:
-                    up[i] |= up[index[target]]
-        return cls(k, elements, index, tuple(up))
+        return cls(k, elements, {t: i for i, t in enumerate(elements)})
 
     def __len__(self):
         return len(self.elements)
@@ -232,20 +226,24 @@ class StratPoset:
 
     def leq(self, s: LabelledTree, t: LabelledTree) -> bool:
         """s <= t: t is reachable from s by contracting inner edges."""
-        return bool(self._leq[self.index(s)] & (1 << self.index(t)))
+        self.index(s)
+        self.index(t)
+        return t.clusters <= s.clusters
 
     def down_set(self, t: LabelledTree):
         """All s <= t: the strata in the closure of t's stratum."""
-        j = self.index(t)
-        return [s for i, s in enumerate(self.elements) if self._leq[i] & (1 << j)]
+        self.index(t)
+        return [s for s in self.elements if t.clusters <= s.clusters]
 
     def covers(self):
-        """Pairs (s, t) with t one single contraction above s."""
+        """Pairs (s, t) with t one single contraction above s: t's nested set
+        is s's minus one cluster."""
+        by_clusters = {t.clusters: t for t in self.elements}
         out = []
         for s in self.elements:
-            for t in sorted(set(s.contractions()), key=lambda x: x.term):
-                if t in self._index:
-                    out.append((s, t))
+            ups = [by_clusters.get(s.clusters - {c}) for c in s.clusters]
+            ups = sorted((t for t in ups if t is not None), key=lambda x: x.term)
+            out.extend((s, t) for t in ups)
         return out
 
     @property
@@ -317,23 +315,23 @@ def enumerate_psi(k, budget=None) -> StratPoset:
     with leaves labelled 1..k and no vertices of valence one or two."""
     if k < 2:
         raise DomainError("stratification poset needs k >= 2", {"k": k})
-    charge("psi enumeration", _psi_count_estimate(k), budget)
+    charge("psi enumeration", _psi_count(k), budget)
     trees = [LabelledTree(node) for node in _labelled_trees_over(tuple(range(1, k + 1)))]
     for t in trees:
         t.validate()
     return StratPoset.build(k, trees)
 
 
-def _psi_count_estimate(k):
-    # series-reduced labelled hierarchies grow super-exponentially; the
-    # recurrence below over-counts mildly which is fine for budgeting
-    counts = {1: 1}
-    for n in range(2, k + 1):
-        total = 0
-        for parts in range(2, n + 1):
-            total += math.comb(n, parts) * (counts.get(n - parts + 1, 1) ** parts)
-        counts[n] = max(total, 1)
-    return counts.get(k, 1)
+def _psi_count(k):
+    """Number of strata at level k (OEIS A000311).  A tree on m >= 2 leaves
+    is the subtree holding leaf 1, on j < m leaves, beside a forest of one
+    or more trees on the other m - j; there are f(r) = 2 a(r) such forests
+    on r >= 2 leaves: one tree, or the root's branches of one."""
+    a, f = {1: 1}, {1: 1}
+    for m in range(2, k + 1):
+        a[m] = sum(math.comb(m - 1, j - 1) * a[j] * f[m - j] for j in range(1, m))
+        f[m] = 2 * a[m]
+    return a[k]
 
 
 def stratum_dim(t: LabelledTree, ambient: int) -> int:

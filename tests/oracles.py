@@ -17,7 +17,11 @@ library's reads the Segal check's boundary table and index columns.  The
 reference nerve restriction evaluates every operation witness recursively
 per value; the library's runs programs compiled from the witnesses.  The
 reference table JSON writer orders entries by stringifying whole items; the
-library's orders them by the repr of their keys.
+library's orders them by the repr of their keys.  The reference Segal core
+lists every family of corolla values agreeing on shared edges; the library
+only counts them.  The reference stratification order is the transitive
+closure of single inner-edge contractions, found by walking each labelled
+tree; the library compares nested sets.
 """
 
 import itertools
@@ -25,6 +29,7 @@ import itertools
 from dendrokit.dendroidal import (
     ETA,
     SegalReport,
+    _corolla_boundary,
     edge_inclusion,
     leaf_relabel_automorphism,
     subcorolla_inclusion,
@@ -49,6 +54,7 @@ from dendrokit.operads import (
     direct_sum_permutation,
     perm_compose,
 )
+from dendrokit.strata import LabelledTree, StratPoset
 from dendrokit.trees import (
     Tree,
     automorphisms,
@@ -222,6 +228,63 @@ def psi_count_via_laminar_families(k):
     return count
 
 
+# -- the stratification order by contraction -------------------------------------
+
+
+def contractions(t: LabelledTree):
+    """All single inner-edge contractions (one step up the poset)."""
+    results = []
+
+    def rec(node, rebuild):
+        if isinstance(node, int):
+            return
+        for i, child in enumerate(node):
+            if isinstance(child, int):
+                continue
+            # contract the edge below `child`: splice its children up
+            spliced = node[:i] + child + node[i + 1 :]
+            results.append(rebuild(spliced))
+            rec(child, lambda new, i=i, node=node, rebuild=rebuild:
+                rebuild(node[:i] + (new,) + node[i + 1 :]))
+
+    rec(t.node, lambda n: n)
+    return [LabelledTree(n) for n in results]
+
+
+class ClosurePoset:
+    """The elements of `poset` ordered by the transitive closure of single
+    contractions: a bitmask per element, its up-set including itself."""
+
+    def __init__(self, poset: StratPoset):
+        elements = poset.elements
+        index = {t: i for i, t in enumerate(elements)}
+        n = len(elements)
+        up = [1 << i for i in range(n)]
+        # transitive closure over single contractions, from coarse to fine;
+        # elements are sorted with more vertices first, so contraction
+        # targets appear later and are already complete when visited
+        for i in range(n - 1, -1, -1):
+            for target in contractions(elements[i]):
+                if target in index:
+                    up[i] |= up[index[target]]
+        self.elements, self._index, self._leq = elements, index, tuple(up)
+
+    def leq(self, s, t):
+        return bool(self._leq[self._index[s]] & (1 << self._index[t]))
+
+    def down_set(self, t):
+        j = self._index[t]
+        return [s for i, s in enumerate(self.elements) if self._leq[i] & (1 << j)]
+
+    def covers(self):
+        out = []
+        for s in self.elements:
+            for t in sorted(set(contractions(s)), key=lambda x: x.term):
+                if t in self._index:
+                    out.append((s, t))
+        return out
+
+
 # -- elementary faces by search ---------------------------------------------------
 
 
@@ -301,6 +364,39 @@ def _core_count(t: Tree, tables):
                 acc[root_val] = acc.get(root_val, 0) + ways
         counts[vi] = acc
     return sum(counts[0].values())
+
+
+def segal_core_hom(X, t: Tree, budget=None):
+    """Families of corolla values, one per vertex of `t`, agreeing on shared
+    edges under the one-edge-tree restrictions.  For the one-edge tree the
+    core is the value set itself."""
+    verts = t.vertices
+    if not verts:
+        return tuple((v,) for v in X.values(t))
+    boundary, edge_ids = {}, {}
+    families = [({}, ())]
+    total = 1
+    for v in verts:
+        k = len(t.children(v))
+        if k not in boundary:
+            boundary[k] = _corolla_boundary(X, k, edge_ids)
+        b = boundary[k]
+        new = []
+        for edge_vals, chosen in families:
+            for el, root_id, leaf_ids in zip(b.values, b.root.tolist(), b.leaves.tolist()):
+                assignment = dict(edge_vals)
+                ok = True
+                for edge, val in [(v, root_id)] + list(zip(t.children(v), leaf_ids)):
+                    if edge in assignment and assignment[edge] != val:
+                        ok = False
+                        break
+                    assignment[edge] = val
+                if ok:
+                    new.append((assignment, chosen + (el,)))
+        families = new
+        total = max(total, len(families))
+        charge("segal core families", total, budget)
+    return tuple(chosen for _assignment, chosen in families)
 
 
 def tuple_strict_segal(X, trees=None, budget=None) -> SegalReport:
@@ -685,11 +781,12 @@ class TupleReconstructedOperad(FiniteOperad):
                 pos += 1
         total = OmegaMorphism(corolla(m_total), tree, emap, _checked=True)
 
+        # the values first: a grafted tree outside the carrier is named
+        values = self.X.values(tree)
+        charge("reconstruction graft values", len(values), self.budget)
         root_act = self.X.restrict(root_sub)
         slot_acts = [self.X.restrict(s) for s in slot_subs]
         index = {}
-        values = self.X.values(tree)
-        charge("reconstruction graft values", len(values), self.budget)
         for z in values:
             family = (root_act(z),) + tuple(act(z) for act in slot_acts)
             if family in index:

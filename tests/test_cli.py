@@ -26,6 +26,11 @@ def test_psi_counts():
     assert run("psi", "4", "--count").stdout.strip() == "26"
 
 
+def test_psi_seven_count_under_default_budget():
+    # the budget charges the exact number of strata, 39,208 at level 7
+    assert run("psi", "7", "--count").stdout.strip() == "39208"
+
+
 def test_psi_json_and_dot():
     payload = json.loads(run("psi", "3", "--json", "--ambient", "2").stdout)
     assert payload["count"] == 4
@@ -140,6 +145,23 @@ def test_reconstruct_round_trip_flag():
     out = run("reconstruct", "--operad", "ass", "--arity-bound", "2", "--round-trip")
     payload = json.loads(out.stdout)
     assert payload["ok"] is True
+
+
+def test_reconstruct_names_grafted_tree_outside_carrier(tmp_path):
+    # arity 3 composes a ternary operation with three nullary ones on the
+    # grafted tree (()()()), which has four vertices: outside the default
+    # nerve carrier of at most three
+    path = tmp_path / "ass.dendroidal.json"
+    path.write_text(run("nerve", "ass").stdout)
+    proc = run("reconstruct", "--dendroidal", str(path), "--arity-bound", "3", check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "tree not in carrier",
+        "detail": {"tree": "(()()())"},
+    }
+    bound_two = run("reconstruct", "--dendroidal", str(path), "--arity-bound", "2")
+    assert json.loads(bound_two.stdout)["arity_bound"] == 2
 
 
 def test_boundary_and_cobound():

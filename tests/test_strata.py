@@ -8,6 +8,7 @@ from dendrokit.errors import DomainError
 from dendrokit.strata import (
     Configuration,
     LabelledTree,
+    _psi_count,
     boundary_index,
     cobound_index,
     composition_image,
@@ -41,11 +42,18 @@ class TestLabelledTrees:
 
     def test_contractions(self):
         t = LabelledTree.parse("((*@1*@2)(*@3*@4))")
-        targets = {c.term for c in t.contractions()}
+        targets = {c.term for c in oracles.contractions(t)}
         assert targets == {
             LabelledTree.parse("(*@1*@2(*@3*@4))").term,
             LabelledTree.parse("((*@1*@2)*@3*@4)").term,
         }
+
+    def test_nested_set(self):
+        t = LabelledTree.parse("((*@1*@2)(*@3*@4))")
+        assert t.clusters == {0b00110, 0b11000}
+        assert t.n_vertices == 3 and t.n_inner_edges == 2
+        assert not t.is_corolla()
+        assert LabelledTree.parse("(*@1*@2*@3)").clusters == frozenset()
 
 
 class TestPsiEnumeration:
@@ -57,7 +65,12 @@ class TestPsiEnumeration:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_counts_against_laminar_oracle(self, k):
-        assert len(enumerate_psi(k)) == oracles.psi_count_via_laminar_families(k)
+        laminar = oracles.psi_count_via_laminar_families(k)
+        assert len(enumerate_psi(k)) == _psi_count(k) == laminar
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_exact_count_charged(self, k):
+        assert _psi_count(k) == len(enumerate_psi(k))
 
     def test_low_level_rejected(self):
         with pytest.raises(DomainError):
@@ -82,7 +95,7 @@ class TestPsiEnumeration:
             while frontier:
                 new = []
                 for x in frontier:
-                    for y in x.contractions():
+                    for y in oracles.contractions(x):
                         if y not in reachable:
                             reachable.add(y)
                             new.append(y)
@@ -95,7 +108,43 @@ class TestPsiEnumeration:
             poset = enumerate_psi(k)
             for t in poset.elements:
                 if t != poset.corolla:
-                    assert t.contractions()
+                    assert oracles.contractions(t)
+
+
+def _posets(k):
+    return [enumerate_psi(k), boundary_index(k)]
+
+
+class TestNestedSetOrder:
+    """The nested-set order against the closure of single contractions."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_leq_on_all_pairs(self, k):
+        for poset in _posets(k):
+            closure = oracles.ClosurePoset(poset)
+            for s in poset.elements:
+                for t in poset.elements:
+                    assert poset.leq(s, t) == closure.leq(s, t)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_covers(self, k):
+        for poset in _posets(k):
+            assert poset.covers() == oracles.ClosurePoset(poset).covers()
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_down_sets(self, k):
+        for poset in _posets(k):
+            closure = oracles.ClosurePoset(poset)
+            for t in poset.elements:
+                assert poset.down_set(t) == closure.down_set(t)
+
+    def test_unknown_tree_rejected(self):
+        poset = boundary_index(3)
+        corolla = enumerate_psi(3).corolla
+        with pytest.raises(DomainError):
+            poset.leq(corolla, poset.elements[0])
+        with pytest.raises(DomainError):
+            poset.leq(poset.elements[0], corolla)
 
 
 class TestDimensions:
