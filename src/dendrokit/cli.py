@@ -218,14 +218,7 @@ def operad_check(spec, arity_bound):
     P = load_operad(spec, arity_bound)
     report = check_operad_axioms(P, arity_bound)
     if not report.passed:
-        sys.stderr.write(
-            json.dumps(
-                {"error": "operad axioms violated", "detail": report.to_json()},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        sys.exit(1)
+        raise DendroError("operad axioms violated", report.to_json())
     emit_json(report.to_json())
 
 
@@ -317,9 +310,8 @@ def nerve(operad_spec, terms, max_vertices, max_inputs, counts_only):
 @click.option("--tree", "terms", multiple=True)
 @click.option("--max-vertices", default=3, show_default=True, type=int)
 @click.option("--max-inputs", default=4, show_default=True, type=int)
-@click.pass_context
 @handle_domain_errors
-def segal_check(ctx, operad_spec, dendroidal_spec, terms, max_vertices, max_inputs):
+def segal_check(operad_spec, dendroidal_spec, terms, max_vertices, max_inputs):
     """Exact strict-Segal check: values against core families, every tree."""
     if (operad_spec is None) == (dendroidal_spec is None):
         raise click.UsageError("give exactly one of --operad / --dendroidal")
@@ -334,11 +326,7 @@ def segal_check(ctx, operad_spec, dendroidal_spec, terms, max_vertices, max_inpu
             carrier = [parse_tree_arg(t) for t in terms]
     report = dnd.is_strict_segal(X, carrier)
     if not report.passed:
-        sys.stderr.write(json.dumps(
-            {"error": "strict Segal check failed", "detail": report.to_json()},
-            sort_keys=True,
-        ) + "\n")
-        ctx.exit(1)
+        raise DendroError("strict Segal check failed", report.to_json())
     emit_json(report.to_json())
 
 
@@ -357,14 +345,7 @@ def reconstruct(operad_spec, dendroidal_spec, arity_bound, round_trip):
         if round_trip:
             witness = dnd.nerve_round_trip(P, arity_bound)
             if not witness.ok:
-                sys.stderr.write(
-                    json.dumps(
-                        {"error": "round trip failed", "detail": witness.to_json()},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                sys.exit(1)
+                raise DendroError("round trip failed", witness.to_json())
             emit_json(witness.to_json())
             return
         X = dnd.nerve(P)
@@ -451,14 +432,7 @@ def fm_embed(points_file, selftest, seed, trials):
         result = strata.fm_selftest(seed=seed, trials=trials)
         result["collision_ratios"] = [float(x) for x in result["collision_ratios"]]
         if not result["passed"]:
-            sys.stderr.write(
-                json.dumps(
-                    {"error": "embedding self-test failed", "detail": result},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            sys.exit(1)
+            raise DendroError("embedding self-test failed", result)
         emit_json(result)
         return
     if not points_file:

@@ -916,13 +916,12 @@ def verify_operad_isomorphism(P, Q, color_map, element_map, arity_bound, budget=
         )
         parent_table = element_tables[(parent_sig.inputs, parent_sig.output)]
         child_tables = [element_tables[(s.inputs, s.output)] for s in child_sigs]
-        result_table = element_tables.setdefault(
-            (result_sig.inputs, result_sig.output),
-            {
-                el: element_map(result_sig, el)
-                for el in P.hom(result_sig.inputs, result_sig.output)
-            },
-        )
+        result_key = (result_sig.inputs, result_sig.output)
+        if result_key not in element_tables:
+            element_tables[result_key] = {
+                el: element_map(result_sig, el) for el in P.hom(*result_key)
+            }
+        result_table = element_tables[result_key]
         for f in P.hom(parent_sig.inputs, parent_sig.output):
             q_f = parent_table[f]
             pools = [P.hom(s.inputs, s.output) for s in child_sigs]

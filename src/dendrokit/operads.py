@@ -481,45 +481,29 @@ class FreeOperad(FiniteOperad):
                 continue
             for gen in elements:
                 add(n, self.generator_element(n, gen))
-        # close under grafting one generator corolla onto one leaf at a time
+        # close under grafting one generator corolla onto one leaf at a time:
+        # compose with identities at every other slot
+        unit = Signature(self.colors, self.colors[0])
         while worklist:
             n, el = worklist.pop()
+            sig = Signature(self.colors * n, self.colors[0])
             for gen_arity, gens in self.collection.levels.items():
                 new_arity = n + gen_arity - 1
                 if new_arity > self.arity_bound:
                     continue
+                gen_sig = Signature(self.colors * gen_arity, self.colors[0])
                 for gen in gens:
                     corolla = self.generator_element(gen_arity, gen)
                     for leaf in range(n):
-                        add(new_arity, self._graft(el, n, leaf, corolla, gen_arity))
+                        children = [("leaf", 0)] * n
+                        children[leaf] = corolla
+                        child_sigs = [unit] * n
+                        child_sigs[leaf] = gen_sig
+                        add(new_arity, self.compose(el, sig, children, child_sigs))
             total = sum(len(v) for v in levels.values())
             if total > self.size_bound:
                 raise BudgetExceeded("free operad elements", total, self.size_bound)
         return {n: tuple(sorted(v, key=_term_serialize)) for n, v in levels.items()}
-
-    def _graft(self, f_term, n, leaf, g_term, k):
-        """Substitute `g_term` (arity k) for leaf `leaf` of `f_term`."""
-
-        def relabel(term, shift, skip):
-            if term[0] == "leaf":
-                i = term[1]
-                return ("leaf", i + shift if i > skip else i)
-            return ("node", term[1], tuple(relabel(c, shift, skip) for c in term[2]))
-
-        def substitute(term):
-            if term[0] == "leaf":
-                if term[1] == leaf:
-                    def shift_g(t):
-                        if t[0] == "leaf":
-                            return ("leaf", t[1] + leaf)
-                        return ("node", t[1], tuple(shift_g(c) for c in t[2]))
-
-                    return shift_g(g_term)
-                return term
-            return ("node", term[1], tuple(substitute(c) for c in term[2]))
-
-        shifted = relabel(f_term, k - 1, leaf)
-        return self.canonical(substitute(shifted))
 
     def level(self, n):
         return self._levels.get(n, ())

@@ -6,10 +6,12 @@ labelled leaves and no vertices of valence one or two, ordered by
 contraction of inner edges (the corolla is the open interior).  Following
 Fulton and MacPherson, a tree is held as its nested set: the leaf sets of
 its non-root vertices.  Contracting an inner edge drops one such set, so
-s <= t exactly when t's nested set is contained in s's.  A stratum
-whose tree has vertex valences k_1..k_l has dimension sum_i (n(k_i-2)-1);
-the whole level has dimension n(k-1)-1 for k >= 2 and levels 0 and 1 are
-single points.
+s <= t exactly when t's nested set is contained in s's.  A tree is built
+once, bottom-up, from canonical branches and stores its canonical term, its
+leaf-label mask and its nested set, so no sub-term is serialized twice.  A
+stratum whose tree has vertex valences k_1..k_l has dimension
+sum_i (n(k_i-2)-1); the whole level has dimension n(k-1)-1 for k >= 2 and
+levels 0 and 1 are single points.
 
 This module enumerates those posets, computes stratum dimensions, closure
 relations and composition images, derives the boundary index poset (drop the
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,40 +58,25 @@ class LabelledTree:
     """A rooted tree whose maximal edges are all leaves, labelled bijectively
     by 1..k, with every vertex of at least two inputs.
 
-    Stored as a canonical nested structure: a leaf is an int label, a vertex
-    is a tuple of children sorted by serialized sub-term.  Isomorphisms must
-    respect the labelling, so distinct labellings are distinct elements.
-    `clusters` is the tree's nested set: the leaf-label bitmasks of its
-    non-root vertices.
+    Built bottom-up from canonical branches by `_vertex`, which stores, once:
+    `node`, the canonical nested structure (a leaf is an int label, a vertex
+    a tuple of children sorted by serialized sub-term); `term`, that
+    serialization; `mask`, the bitmask of leaf labels; and `clusters`, the
+    tree's nested set (the leaf-label masks of its non-root vertices).
+    Isomorphisms must respect the labelling, so distinct labellings are
+    distinct elements.  ``LabelledTree(node)`` builds the tree of a raw
+    nested node in any child order.
     """
 
-    __slots__ = ("_node", "_hash", "clusters")
+    __slots__ = ("node", "term", "mask", "clusters", "_hash")
 
-    def __init__(self, node):
-        self._node = _canon_labelled(node)
-        self._hash = hash(self._node)
-        self.clusters = _clusters(self._node)
-
-    @property
-    def node(self):
-        return self._node
+    def __new__(cls, node):
+        if isinstance(node, int):
+            return _leaf(node)
+        return _vertex([LabelledTree(c) for c in node])
 
     def labels(self):
-        out = []
-
-        def rec(node):
-            if isinstance(node, int):
-                out.append(node)
-            else:
-                for c in node:
-                    rec(c)
-
-        rec(self._node)
-        return sorted(out)
-
-    @property
-    def term(self):
-        return _labelled_term(self._node)
+        return [i for i in range(self.mask.bit_length()) if self.mask >> i & 1]
 
     def valences(self):
         """Multiset (sorted tuple) of vertex valences, inputs plus one."""
@@ -101,7 +89,7 @@ class LabelledTree:
             for c in node:
                 rec(c)
 
-        rec(self._node)
+        rec(self.node)
         return tuple(sorted(out))
 
     @property
@@ -134,7 +122,8 @@ class LabelledTree:
 
     def validate(self):
         labels = self.labels()
-        if labels != list(range(1, len(labels) + 1)):
+        # a repeated label sets one bit for two leaves, so count the leaves
+        if labels != list(range(1, self.term.count("*") + 1)):
             raise DomainError("leaf labels must be exactly 1..k", {"labels": labels})
 
         def rec(node):
@@ -147,10 +136,10 @@ class LabelledTree:
             for c in node:
                 rec(c)
 
-        rec(self._node)
+        rec(self.node)
 
     def __eq__(self, other):
-        return isinstance(other, LabelledTree) and self._node == other._node
+        return isinstance(other, LabelledTree) and self.term == other.term
 
     def __hash__(self):
         return self._hash
@@ -159,38 +148,30 @@ class LabelledTree:
         return f"LabelledTree({self.term!r})"
 
 
-def _clusters(node):
-    """Leaf-label bitmasks of the vertices of `node` other than its root."""
-    out = []
-
-    def mask(sub):
-        if isinstance(sub, int):
-            return 1 << sub
-        m = 0
-        for c in sub:
-            m |= mask(c)
-        out.append(m)
-        return m
-
-    mask(node)
-    return frozenset(out[:-1])  # post-order: the root's mask comes last
+def _leaf(label):
+    if label < 1:
+        raise DomainError("leaf labels must be exactly 1..k", {"labels": [label]})
+    t = object.__new__(LabelledTree)
+    t.node, t.term, t.mask, t.clusters = label, f"*@{label}", 1 << label, frozenset()
+    t._hash = hash(label)
+    return t
 
 
-def _canon_labelled(node):
-    if isinstance(node, int):
-        return node
-    kids = tuple(_canon_labelled(c) for c in node)
-    return tuple(sorted(kids, key=_labelled_sort_key))
-
-
-def _labelled_sort_key(node):
-    return _labelled_term(node)
-
-
-def _labelled_term(node):
-    if isinstance(node, int):
-        return f"*@{node}"
-    return "(" + "".join(_labelled_term(c) for c in node) + ")"
+def _vertex(branches):
+    """The tree whose root's children are the canonical trees `branches`."""
+    branches = sorted(branches, key=attrgetter("term"))
+    t = object.__new__(LabelledTree)
+    t.node = tuple(b.node for b in branches)
+    t.term = "(" + "".join(b.term for b in branches) + ")"
+    mask, clusters = 0, set()
+    for b in branches:
+        mask |= b.mask
+        clusters |= b.clusters
+        if not isinstance(b.node, int):
+            clusters.add(b.mask)
+    t.mask, t.clusters = mask, frozenset(clusters)
+    t._hash = hash(t.node)
+    return t
 
 
 # -- the stratification poset ---------------------------------------------------
@@ -287,14 +268,13 @@ class StratPoset:
 def _labelled_trees_over(labels):
     """All labelled trees (vertices of >= 2 inputs) on a sorted label tuple."""
     if len(labels) == 1:
-        return [labels[0]]
+        return [_leaf(labels[0])]
     out = []
     for blocks in _set_partitions(labels):
         if len(blocks) < 2:
             continue
         pools = [_labelled_trees_over(tuple(b)) for b in blocks]
-        for combo in itertools.product(*pools):
-            out.append(tuple(combo))
+        out.extend(map(_vertex, itertools.product(*pools)))
     return out
 
 
@@ -316,7 +296,7 @@ def enumerate_psi(k, budget=None) -> StratPoset:
     if k < 2:
         raise DomainError("stratification poset needs k >= 2", {"k": k})
     charge("psi enumeration", _psi_count(k), budget)
-    trees = [LabelledTree(node) for node in _labelled_trees_over(tuple(range(1, k + 1)))]
+    trees = _labelled_trees_over(tuple(range(1, k + 1)))
     for t in trees:
         t.validate()
     return StratPoset.build(k, trees)

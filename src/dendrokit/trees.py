@@ -42,6 +42,10 @@ _SORT_TRANS = str.maketrans("*()", "120")
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
+# Deepest vertex nesting a term may have; every walk over a tree recurses
+# once per level, so deeper terms would exhaust the interpreter's stack.
+MAX_TREE_DEPTH = 256
+
 
 def _node_term(node, with_labels=True):
     children, label = node
@@ -233,8 +237,9 @@ def linear_tree(n_unary, closed=False):
 def parse_tree(text: str) -> Tree:
     """Parse a tree term; whitespace between tokens is ignored.
 
-    Raises ParseError with a character position on malformed input and on
-    duplicate ``@name`` labels.
+    Raises ParseError with a character position on malformed input, on
+    duplicate ``@name`` labels and on vertices nested more than
+    MAX_TREE_DEPTH deep.
     """
     pos = 0
     n = len(text)
@@ -261,7 +266,7 @@ def parse_tree(text: str) -> Tree:
             return name
         return None
 
-    def parse_edge():
+    def parse_edge(depth):
         nonlocal pos
         skip_ws()
         if pos >= n:
@@ -271,6 +276,8 @@ def parse_tree(text: str) -> Tree:
             pos += 1
             return (LEAF, parse_label())
         if ch == "(":
+            if depth == MAX_TREE_DEPTH:
+                raise ParseError("tree nested too deeply", pos)
             pos += 1
             children = []
             while True:
@@ -280,11 +287,11 @@ def parse_tree(text: str) -> Tree:
                 if text[pos] == ")":
                     pos += 1
                     break
-                children.append(parse_edge())
+                children.append(parse_edge(depth + 1))
             return (tuple(children), parse_label())
         raise ParseError(f"unexpected character {ch!r}", pos)
 
-    node = parse_edge()
+    node = parse_edge(0)
     skip_ws()
     if pos != n:
         raise ParseError("trailing input after tree term", pos)

@@ -21,7 +21,9 @@ library's orders them by the repr of their keys.  The reference Segal core
 lists every family of corolla values agreeing on shared edges; the library
 only counts them.  The reference stratification order is the transitive
 closure of single inner-edge contractions, found by walking each labelled
-tree; the library compares nested sets.
+tree; the library compares nested sets.  The reference labelled-tree
+canonical form, term and nested set re-serialize every sub-term at every
+level; the library builds each tree once from canonical branches.
 """
 
 import itertools
@@ -226,6 +228,47 @@ def psi_count_via_laminar_families(k):
             if ok:
                 count += 1
     return count
+
+
+# -- leaf-labelled trees, serialized per call -------------------------------------
+
+
+def canon_labelled(node):
+    """The canonical form of a raw labelled node: children of every vertex
+    sorted by their serialized sub-terms, recomputed at every level."""
+    if isinstance(node, int):
+        return node
+    kids = tuple(canon_labelled(c) for c in node)
+    return tuple(sorted(kids, key=labelled_term))
+
+
+def labelled_term(node):
+    if isinstance(node, int):
+        return f"*@{node}"
+    return "(" + "".join(labelled_term(c) for c in node) + ")"
+
+
+def labelled_clusters(node):
+    """Leaf-label bitmasks of the vertices of `node` other than its root."""
+    out = []
+
+    def mask(sub):
+        if isinstance(sub, int):
+            return 1 << sub
+        m = 0
+        for c in sub:
+            m |= mask(c)
+        out.append(m)
+        return m
+
+    mask(node)
+    return frozenset(out[:-1])  # post-order: the root's mask comes last
+
+
+def labelled_leaves(node):
+    if isinstance(node, int):
+        return [node]
+    return sorted(label for c in node for label in labelled_leaves(c))
 
 
 # -- the stratification order by contraction -------------------------------------

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from dendrokit.operads import TableOperad, check_operad_axioms
+from dendrokit.trees import MAX_TREE_DEPTH
+
 CLI = [sys.executable, "-m", "dendrokit.cli"]
 
 
@@ -139,6 +142,34 @@ def test_segal_check_missing_action_entry(tmp_path):
     assert failure["detail"]["error"] == "stored action has no entry for value"
     assert failure["detail"]["detail"]["value"] == "(*(**))#0"
     assert failure["detail"]["detail"]["morphism"] == face["morphism"]
+
+
+class TestCheckFailures:
+    """A failed check exits 1 with nothing on stdout and one line on stderr:
+    the {"error","detail"} object with sorted keys."""
+
+    def test_segal_check_corrupted(self):
+        proc = run("segal-check", "--dendroidal", "corrupted.dendroidal.json", check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            '{"detail": {"dendroidal_set": "corrupted.dendroidal.json", "failures": '
+            '[{"core_count": 4, "reason": "not surjective", "tree": "(*(**))", '
+            '"value_count": 2}], "passed": false, "trees_checked": 4}, '
+            '"error": "strict Segal check failed"}\n'
+        )
+
+    def test_operad_check_corrupted_table(self, tmp_path):
+        table = json.loads(run("operad", "show", "ass", "--arity-bound", "2").stdout)
+        next(c for c in table["comp"] if c["result"] == "01")["result"] = "10"
+        path = tmp_path / "corrupt.operad.json"
+        path.write_text(json.dumps(table))
+        proc = run("operad", "check", str(path), "--arity-bound", "2", check=False)
+        report = check_operad_axioms(TableOperad.from_json(table), 2).to_json()
+        assert not report["passed"] and report["violations"]
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == json.dumps(
+            {"error": "operad axioms violated", "detail": report}, sort_keys=True
+        ) + "\n"
 
 
 def test_reconstruct_round_trip_flag():
@@ -290,6 +321,26 @@ class TestInputErrors:
         monkeypatch.setenv("DENDRO_BUDGET", "1e6")
         payload = self.error_of("enum-trees", "--max-edges", "3")
         assert payload == {"error": "invalid DENDRO_BUDGET", "detail": {"value": "1e6"}}
+
+
+class TestDeepTerms:
+    """Terms nested beyond MAX_TREE_DEPTH are parse errors, not a stack
+    overflow."""
+
+    def test_classify_beyond_max_depth(self):
+        depth = MAX_TREE_DEPTH + 1
+        proc = run("classify", "(" * depth + ")" * depth, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr) == {
+            "error": "tree nested too deeply",
+            "detail": {"position": MAX_TREE_DEPTH},
+        }
+
+    def test_classify_at_max_depth(self):
+        term = "(" * MAX_TREE_DEPTH + "*" + ")" * MAX_TREE_DEPTH
+        proc = run("classify", term, "--json")
+        assert json.loads(proc.stdout)["n_edges"] == MAX_TREE_DEPTH + 1
 
 
 DETERMINISM_COMMANDS = [

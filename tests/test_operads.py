@@ -339,6 +339,13 @@ class TestFreeOperad:
         # labellings, counted by the independent oracle
         assert len(F.level(4)) == oracles.leaf_labelled_tree_count(4, {2, 3})
 
+    def test_two_binary_and_one_ternary_generator(self):
+        F = free_operad(Collection(levels={2: ("a", "b"), 3: ("c",)}), 4)
+        # arity 3: 3 labelled binary trees with 2 x 2 decorations, plus c;
+        # arity 4: 15 binary trees with 2^3 decorations, plus 6 + 4 trees
+        # with one ternary and one binary vertex, 2 decorations each
+        assert {n: len(v) for n, v in F._levels.items()} == {1: 1, 2: 2, 3: 13, 4: 140}
+
     def test_unit_injection_is_injective_and_equivariant(self):
         def swap_action(n, perm, el):
             if n == 2 and perm == (1, 0):

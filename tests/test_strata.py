@@ -39,6 +39,10 @@ class TestLabelledTrees:
             LabelledTree.parse("((*@1)*@2)").validate()  # unary vertex
         with pytest.raises(DomainError):
             LabelledTree.parse("(*@1*@3)").validate()  # labels not 1..k
+        with pytest.raises(DomainError):
+            LabelledTree.parse("(*@01*@1*@2)").validate()  # label 1 twice
+        with pytest.raises(DomainError):
+            LabelledTree.parse("(*@0*@1)")  # no bit for a label below 1
 
     def test_contractions(self):
         t = LabelledTree.parse("((*@1*@2)(*@3*@4))")
@@ -54,6 +58,50 @@ class TestLabelledTrees:
         assert t.n_vertices == 3 and t.n_inner_edges == 2
         assert not t.is_corolla()
         assert LabelledTree.parse("(*@1*@2*@3)").clusters == frozenset()
+
+
+def _reversed(node):
+    """The raw node with the children of every vertex in reverse order."""
+    if isinstance(node, int):
+        return node
+    return tuple(_reversed(c) for c in reversed(node))
+
+
+def assert_matches_oracle(t, raw):
+    node = oracles.canon_labelled(raw)
+    assert t.node == node
+    assert t.term == oracles.labelled_term(node)
+    assert t.clusters == oracles.labelled_clusters(node)
+    assert t.labels() == oracles.labelled_leaves(node)
+    assert hash(t) == hash(node)
+    assert t == LabelledTree(raw) == LabelledTree(node)
+
+
+class TestBuiltFromBranches:
+    """Trees built once from canonical branches against the reference that
+    re-serializes every sub-term."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_every_stratum(self, k):
+        elements = enumerate_psi(k).elements
+        for t in elements:
+            assert_matches_oracle(t, _reversed(t.node))
+        assert len({oracles.canon_labelled(t.node) for t in elements}) == len(set(elements))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            (3, (2, 1)),
+            ((4, (3, 2)), 1),
+            ((5, 4), (3, (2, 1))),
+            ((6, 5, 4), 3, (2, 1)),
+            (((5, 4), 3), ((2, 1), 6)),
+        ],
+    )
+    def test_children_out_of_canonical_order(self, raw):
+        t = LabelledTree(raw)
+        assert_matches_oracle(t, raw)
+        assert_matches_oracle(LabelledTree.parse(oracles.labelled_term(raw)), raw)
 
 
 class TestPsiEnumeration:

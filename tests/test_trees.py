@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from dendrokit.errors import DomainError, ParseError
 from dendrokit.trees import (
+    MAX_TREE_DEPTH,
     Tree,
     aut_order,
     automorphisms,
@@ -59,6 +60,13 @@ class TestParsing:
     def test_duplicate_name(self):
         with pytest.raises(ParseError):
             parse_tree("(*@a*@a)")
+
+    def test_depth_limit(self):
+        assert len(parse_tree("(" * MAX_TREE_DEPTH + "*" + ")" * MAX_TREE_DEPTH).edges) == 257
+        with pytest.raises(ParseError) as err:
+            parse_tree("(" * (MAX_TREE_DEPTH + 1) + ")" * (MAX_TREE_DEPTH + 1))
+        assert err.value.message == "tree nested too deeply"
+        assert err.value.position == MAX_TREE_DEPTH
 
     def test_labels_survive(self):
         t = parse_tree("(*@left*@right)@root")
