@@ -342,26 +342,24 @@ def contract_inner_edge(t: Tree, edge) -> OmegaMorphism:
     if edge not in t.inner_edges:
         raise DomainError("not an inner edge", {"address": format_address(edge)})
     parent, j = edge[:-1], edge[-1]
+    raw_map = {}  # raw address -> address in t, each built once from its parent's
 
-    def rec(addr):
-        children, label = t.node_at(addr)
+    def rec(node, addr, raw_addr):
+        children, label = node
+        raw_map[raw_addr] = addr
         if children is LEAF:
-            return (LEAF, label), {(): addr}
+            return node
         raw_children = []
-        out_map = {(): addr}
-        pos = 0
-        for i, kid in enumerate(t.children(addr)):
-            spliced = t.children(kid) if (addr == parent and i == j) else (kid,)
-            for part in spliced:
-                node, m = rec(part)
-                raw_children.append(node)
-                for sub, orig in m.items():
-                    out_map[(pos,) + sub] = orig
-                pos += 1
-        return (tuple(raw_children), label), out_map
+        for i, kid in enumerate(children):
+            if addr == parent and i == j:
+                spliced = [(grandkid, addr + (i, g)) for g, grandkid in enumerate(kid[0])]
+            else:
+                spliced = [(kid, addr + (i,))]
+            for part, part_addr in spliced:
+                raw_children.append(rec(part, part_addr, raw_addr + (len(raw_children),)))
+        return (tuple(raw_children), label)
 
-    raw, raw_map = rec(())
-    tree, addr_map = _finish(raw, raw_map)
+    tree, addr_map = _finish(rec(t.node_at(()), (), ()), raw_map)
     return OmegaMorphism(tree, t, addr_map, _checked=True)
 
 
@@ -371,27 +369,23 @@ def degeneracy_at(t: Tree, unary) -> OmegaMorphism:
     if t.is_leaf(unary) or len(t.children(unary)) != 1:
         raise DomainError("not a unary vertex", {"address": format_address(unary)})
     child = unary + (0,)
+    raw_map = {}  # raw address -> address in t, each built once from its parent's
 
-    def rec(addr):
-        children, label = t.node_at(addr)
+    def rec(node, addr, raw_addr):
+        children, label = node
         if addr == unary:
-            (kids, sub_label), m = rec(child)
-            merged = dict(m)
-            merged[()] = unary
-            return (kids, label if label is not None else sub_label), merged
+            kids, sub_label = rec(children[0], child, raw_addr)
+            raw_map[raw_addr] = unary
+            return (kids, label if label is not None else sub_label)
+        raw_map[raw_addr] = addr
         if children is LEAF:
-            return (LEAF, label), {(): addr}
+            return node
         raw_children = []
-        out_map = {(): addr}
-        for i, kid in enumerate(t.children(addr)):
-            node, m = rec(kid)
-            raw_children.append(node)
-            for sub, orig in m.items():
-                out_map[(i,) + sub] = orig
-        return (tuple(raw_children), label), out_map
+        for i, kid in enumerate(children):
+            raw_children.append(rec(kid, addr + (i,), raw_addr + (i,)))
+        return (tuple(raw_children), label)
 
-    raw, raw_map = rec(())
-    tree, addr_map = _finish(raw, raw_map)
+    tree, addr_map = _finish(rec(t.node_at(()), (), ()), raw_map)
     inverse = {orig: new for new, orig in addr_map.items()}
     sigma = {e: inverse[unary if e == child else e] for e in t.edges}
     return OmegaMorphism(t, tree, sigma, _checked=True)
@@ -706,7 +700,7 @@ def shorten(t: Tree):
     chain = []
     current = t
     while True:
-        unary = [v for v in current.vertices if len(current.children(v)) == 1]
+        unary = [v for v in current.vertices if len(current.node_at(v)[0]) == 1]
         if not unary:
             return current, chain
         sigma = degeneracy_at(current, unary[0])
@@ -729,7 +723,7 @@ def is_extended_corolla(t: Tree, n: int):
     while True:
         if current.key == target_key:
             return True, chain
-        unary = [v for v in current.vertices if len(current.children(v)) == 1]
+        unary = [v for v in current.vertices if len(current.node_at(v)[0]) == 1]
         if n == 1 and len(unary) <= 1:
             return False, None
         if not unary:

@@ -62,13 +62,14 @@ class LabelledTree:
     `node`, the canonical nested structure (a leaf is an int label, a vertex
     a tuple of children sorted by serialized sub-term); `term`, that
     serialization; `mask`, the bitmask of leaf labels; and `clusters`, the
-    tree's nested set (the leaf-label masks of its non-root vertices).
+    tree's nested set (the leaf-label masks of its non-root vertices).  The
+    sorted vertex valences are walked once, on first use.
     Isomorphisms must respect the labelling, so distinct labellings are
     distinct elements.  ``LabelledTree(node)`` builds the tree of a raw
     nested node in any child order.
     """
 
-    __slots__ = ("node", "term", "mask", "clusters", "_hash")
+    __slots__ = ("node", "term", "mask", "clusters", "_valences", "_hash")
 
     def __new__(cls, node):
         if isinstance(node, int):
@@ -80,17 +81,18 @@ class LabelledTree:
 
     def valences(self):
         """Multiset (sorted tuple) of vertex valences, inputs plus one."""
-        out = []
+        if self._valences is None:
+            out = []
 
-        def rec(node):
-            if isinstance(node, int):
-                return
-            out.append(len(node) + 1)
-            for c in node:
-                rec(c)
+            def rec(node):
+                if not isinstance(node, int):
+                    out.append(len(node) + 1)
+                    for c in node:
+                        rec(c)
 
-        rec(self.node)
-        return tuple(sorted(out))
+            rec(self.node)
+            self._valences = tuple(sorted(out))
+        return self._valences
 
     @property
     def n_vertices(self):
@@ -153,6 +155,7 @@ def _leaf(label):
         raise DomainError("leaf labels must be exactly 1..k", {"labels": [label]})
     t = object.__new__(LabelledTree)
     t.node, t.term, t.mask, t.clusters = label, f"*@{label}", 1 << label, frozenset()
+    t._valences = ()
     t._hash = hash(label)
     return t
 
@@ -170,6 +173,7 @@ def _vertex(branches):
         if not isinstance(b.node, int):
             clusters.add(b.mask)
     t.mask, t.clusters = mask, frozenset(clusters)
+    t._valences = None
     t._hash = hash(t.node)
     return t
 

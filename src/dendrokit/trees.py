@@ -37,8 +37,8 @@ from .errors import DomainError, ParseError, charge
 # otherwise a tuple of child nodes (empty tuple = stump).
 LEAF = None
 
-# ")" < "*" < "(" so that sorting serialized sub-terms puts leaves first.
-_SORT_TRANS = str.maketrans("*()", "120")
+# Sort keys spell unlabelled terms with ")" -> "0", "*" -> "1", "(" -> "2",
+# so that ")" < "*" < "(" and sorting serialized sub-terms puts leaves first.
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
@@ -59,29 +59,44 @@ def _node_key(node):
     return _node_term(node, with_labels=False)
 
 
-def _sort_key(node):
-    # Unlabelled key decides the canonical order; the labelled term only
-    # breaks ties between isomorphic siblings so addressing is deterministic.
-    return (_node_key(node).translate(_SORT_TRANS), _node_term(node))
-
-
 def canonicalize_node(node):
-    """Return (canonical node, map old address -> new address)."""
+    """Return (canonical node, map old address -> new address).
+
+    Children are ordered by their unlabelled sub-term; the labelled one only
+    breaks ties between isomorphic siblings, so that addressing is
+    deterministic.  Both strings are built once per vertex from those of its
+    children, and each address of the map once from its parent's, so no
+    sub-term is serialized, and no address copied, more than once."""
+    canon, _, _, order = _canonicalize(node)
+    mapping = {}  # in pre-order of the canonical node
+    stack = [((), (), order)]
+    while stack:
+        old, new, (perm, kids) = stack.pop()
+        mapping[old] = new
+        for new_i in reversed(range(len(perm))):
+            stack.append((old + (perm[new_i],), new + (new_i,), kids[perm[new_i]]))
+    return canon, mapping
+
+
+def _canonicalize(node):
+    """(canonical node, sort key, labelled term, order) of `node`.  The sort
+    key is the unlabelled term in the alphabet above; the order pairs the
+    original index of each canonical child with the orders of the original
+    children."""
     children, label = node
+    suffix = f"@{label}" if label is not None else ""
     if children is LEAF:
-        return node, {(): ()}
-    canon = []
-    for i, child in enumerate(children):
-        cnode, cmap = canonicalize_node(child)
-        canon.append((i, cnode, cmap))
-    canon.sort(key=lambda item: _sort_key(item[1]))
-    mapping = {(): ()}
-    new_children = []
-    for new_i, (old_i, cnode, cmap) in enumerate(canon):
-        new_children.append(cnode)
-        for old_sub, new_sub in cmap.items():
-            mapping[(old_i,) + old_sub] = (new_i,) + new_sub
-    return (tuple(new_children), label), mapping
+        return node, "1", "*" + suffix, ((), ())
+    kids = []
+    for child in children:
+        kids.append(_canonicalize(child))
+    perm = list(range(len(kids)))
+    if len(kids) > 1:
+        perm.sort(key=lambda i: (kids[i][1], kids[i][2]))
+    key = "2" + "".join(kids[i][1] for i in perm) + "0"
+    term = "(" + "".join(kids[i][2] for i in perm) + ")" + suffix
+    canon = (tuple(kids[i][0] for i in perm), label)
+    return canon, key, term, (perm, [k[3] for k in kids])
 
 
 class Tree:

@@ -9,7 +9,8 @@ the library's check, which works on index arrays, is compared against it.
 The reference elementary faces come from a search over every injective map
 out of every tree with one vertex fewer; the library builds them directly.
 The reference operad-axiom check recomputes every composite inside its
-innermost loop; the library's checker shares loop-invariant work.  End
+innermost loop; the library's checker tabulates each composite and permuted
+element once and compares whole instance grids as index arrays.  End
 operads are checked against substitution through `end_evaluate`.  The
 reference reconstruction restricts every value of a grafted tree to its
 root and slot subcorollas and hashes the family of value tuples; the
@@ -22,8 +23,11 @@ lists every family of corolla values agreeing on shared edges; the library
 only counts them.  The reference stratification order is the transitive
 closure of single inner-edge contractions, found by walking each labelled
 tree; the library compares nested sets.  The reference labelled-tree
-canonical form, term and nested set re-serialize every sub-term at every
-level; the library builds each tree once from canonical branches.
+canonical form, term, nested set and valences re-serialize or walk every
+sub-term at every level; the library builds each tree once from canonical
+branches.  The reference tree canonicalization re-serializes every sub-term
+to sort the children of each vertex; the library builds the sort keys once,
+bottom-up.
 """
 
 import itertools
@@ -58,7 +62,10 @@ from dendrokit.operads import (
 )
 from dendrokit.strata import LabelledTree, StratPoset
 from dendrokit.trees import (
+    LEAF,
     Tree,
+    _node_key,
+    _node_term,
     automorphisms,
     canonicalize_node,
     corolla,
@@ -230,6 +237,33 @@ def psi_count_via_laminar_families(k):
     return count
 
 
+# -- canonical trees, serialized per call -------------------------------------------
+
+
+_SORT_TRANS = str.maketrans("*()", "120")
+
+
+def naive_canonicalize_node(node):
+    """(canonical node, map old address -> new address), sorting the
+    children of every vertex by their unlabelled and then labelled sub-terms,
+    each serialized anew at every level."""
+    children, label = node
+    if children is LEAF:
+        return node, {(): ()}
+    canon = []
+    for i, child in enumerate(children):
+        cnode, cmap = naive_canonicalize_node(child)
+        canon.append((i, cnode, cmap))
+    canon.sort(key=lambda item: (_node_key(item[1]).translate(_SORT_TRANS), _node_term(item[1])))
+    mapping = {(): ()}
+    new_children = []
+    for new_i, (old_i, cnode, cmap) in enumerate(canon):
+        new_children.append(cnode)
+        for old_sub, new_sub in cmap.items():
+            mapping[(old_i,) + old_sub] = (new_i,) + new_sub
+    return (tuple(new_children), label), mapping
+
+
 # -- leaf-labelled trees, serialized per call -------------------------------------
 
 
@@ -263,6 +297,13 @@ def labelled_clusters(node):
 
     mask(node)
     return frozenset(out[:-1])  # post-order: the root's mask comes last
+
+
+def labelled_valences(node):
+    """Sorted valences (inputs plus one) of the vertices of `node`."""
+    if isinstance(node, int):
+        return ()
+    return tuple(sorted((len(node) + 1,) + sum((labelled_valences(c) for c in node), ())))
 
 
 def labelled_leaves(node):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -336,6 +337,14 @@ class TestDeepTerms:
             "error": "tree nested too deeply",
             "detail": {"position": MAX_TREE_DEPTH},
         }
+
+    def test_classify_stump_chain_at_max_depth(self):
+        # every degeneracy of the chain re-canonicalizes a chain one shorter
+        term = "(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH
+        start = time.perf_counter()
+        proc = run("classify", term, "--json")
+        assert time.perf_counter() - start < 5
+        assert json.loads(proc.stdout)["n_edges"] == MAX_TREE_DEPTH
 
     def test_classify_at_max_depth(self):
         term = "(" * MAX_TREE_DEPTH + "*" + ")" * MAX_TREE_DEPTH

@@ -1,6 +1,7 @@
 import itertools
-
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +56,7 @@ class TestAss:
     def test_axioms_full_bound_four(self):
         report = check_operad_axioms(ass_operad(4), 4)
         assert report.passed, report.violations[:3]
+        assert report.checked == 2327883
 
     def test_free_symmetric_action(self):
         A = ass_operad(4)
@@ -189,6 +191,28 @@ def _without_entry(table, key):
     )
 
 
+def _with_entries(table, comp=(), sym=(), drop_sym=()):
+    """Copy of the table with composition and symmetry entries replaced
+    (``comp``, ``sym``: key/value pairs) and symmetry entries removed."""
+    comp_table, sym_table = dict(table._comp), dict(table._sym)
+    comp_table.update(comp)
+    sym_table.update(sym)
+    for key in drop_sym:
+        del sym_table[key]
+    return TableOperad(
+        table.colors, table._homs, table._identities, comp_table, sym_table,
+        arity_bound=table.arity_bound, name=table.name,
+    )
+
+
+def _outcome(check, P, bound):
+    """The report of an axiom check, or the payload of the error it raises."""
+    try:
+        return check(P, bound).to_json()
+    except DomainError as err:
+        return err.payload()
+
+
 class TestCheckerMatchesOracle:
     """`check_operad_axioms` reports exactly what the per-instance oracle
     reports: instance count, violations and their order."""
@@ -230,6 +254,71 @@ class TestCheckerMatchesOracle:
                 oracles.naive_operad_axioms(broken, 3)
             assert got.value.payload() == want.value.payload()
 
+    def test_corrupted_symmetry_entry(self):
+        table = load_operad("ass.operad.json")
+        key = next(k for k in sorted(table._sym, key=str) if len(k[2]) == 3 and k[2] != (0, 1, 2))
+        wrong = next(e for e in table.hom(*key[1]) if e != table._sym[key])
+        broken = _with_entries(table, sym={key: wrong})
+        got = check_operad_axioms(broken, 3).to_json()
+        assert got == oracles.naive_operad_axioms(broken, 3).to_json()
+        assert {v["law"] for v in got["violations"]} >= {"sigma-functoriality", "parent-equivariance"}
+
+    def test_corrupted_nullary_symmetry_entry(self):
+        # acting on a nullary operation by the empty permutation and
+        # composing it with no children are different calls
+        table = load_operad("ass.operad.json")
+        key = next(k for k in table._sym if k[2] == ())
+        broken = _with_entries(table, sym={key: "bogus"})
+        got = _outcome(check_operad_axioms, broken, 3)
+        assert got == _outcome(oracles.naive_operad_axioms, broken, 3)
+        assert "bogus" in str(got)
+
+    def test_missing_symmetry_entry(self):
+        table = load_operad("ass.operad.json")
+        # every entry of arity two or more is read by the functoriality law
+        keys = [k for k in sorted(table._sym, key=str) if len(k[2]) >= 2]
+        for key in keys[::5]:
+            broken = _with_entries(table, drop_sym=[key])
+            with pytest.raises(DomainError) as got:
+                check_operad_axioms(broken, 3)
+            with pytest.raises(DomainError) as want:
+                oracles.naive_operad_axioms(broken, 3)
+            assert got.value.payload() == want.value.payload()
+            assert got.value.message == "missing symmetry table entry"
+
+    def test_violations_of_two_combos_interleave(self):
+        # two corrupted composites of the binary operation "01": one with a
+        # binary second child, one with a binary first child.  Each (f, gs)
+        # of the instance (x,x;x) o [(x;x), (x,x;x)] meets them in several
+        # grandchild signature combos, so the violations of one combo are
+        # interleaved with those of the others.
+        table = load_operad("ass.operad.json")
+        keys = [
+            next(k for k in table.composition_keys()
+                 if k[0] == "01" and [len(s[0]) for s in k[3]] == arities)
+            for arities in ([1, 2], [2, 1])
+        ]
+        comp = {k: next(e for e in table.hom(("x",) * 3, "x") if e != table._comp[k]) for k in keys}
+        broken = _with_entries(table, comp=comp)
+        got = check_operad_axioms(broken, 3).to_json()
+        assert got == oracles.naive_operad_axioms(broken, 3).to_json()
+        combos = [
+            tuple(len(h) for h in v["instance"]["hs"])
+            for v in got["violations"]
+            if v["law"] == "associativity" and v["instance"]["children"] == ["(x;x)", "(x,x;x)"]
+        ]
+        runs = [c for i, c in enumerate(combos) if i == 0 or combos[i - 1] != c]
+        assert len(set(runs)) > 1 and len(runs) > len(set(runs))
+
+    @pytest.mark.parametrize("arities", [[1, 1], [2, 1], [1, 1, 1]])
+    def test_composite_outside_its_hom(self, arities):
+        table = load_operad("ass.operad.json")
+        key = next(k for k in table.composition_keys() if [len(s[0]) for s in k[3]] == arities)
+        broken = _with_entries(table, comp={key: "bogus"})
+        got = _outcome(check_operad_axioms, broken, 3)
+        assert got == _outcome(oracles.naive_operad_axioms, broken, 3)
+        assert "bogus" in str(got)
+
     @pytest.mark.parametrize("budget", [5, 1000, 10000])
     def test_budget_same_estimate(self, budget):
         with pytest.raises(BudgetExceeded) as got:
@@ -247,6 +336,13 @@ class TestCheckerMatchesOracle:
         assert got.value.detail == {
             "operation": "associativity instances", "estimate": 501, "budget": 500,
         }
+
+
+def test_import_leaves_numpy_unloaded():
+    # the axiom checker imports numpy when it runs, not when the module loads
+    code = "import sys, dendrokit.operads; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestTreeOperad:

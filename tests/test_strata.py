@@ -73,6 +73,7 @@ def assert_matches_oracle(t, raw):
     assert t.term == oracles.labelled_term(node)
     assert t.clusters == oracles.labelled_clusters(node)
     assert t.labels() == oracles.labelled_leaves(node)
+    assert t.valences() == oracles.labelled_valences(node)
     assert hash(t) == hash(node)
     assert t == LabelledTree(raw) == LabelledTree(node)
 
@@ -87,6 +88,11 @@ class TestBuiltFromBranches:
         for t in elements:
             assert_matches_oracle(t, _reversed(t.node))
         assert len({oracles.canon_labelled(t.node) for t in elements}) == len(set(elements))
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_valences_of_every_stratum(self, k):
+        for t in enumerate_psi(k).elements:
+            assert t.valences() == oracles.labelled_valences(t.node)
 
     @pytest.mark.parametrize(
         "raw",

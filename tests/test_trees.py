@@ -12,6 +12,7 @@ from dendrokit.trees import (
     aut_order,
     automorphisms,
     canonical_form,
+    canonicalize_node,
     corolla,
     enumerate_trees,
     enumerate_trees_by_vertices,
@@ -96,6 +97,50 @@ class TestCanonical:
 
     def test_labels_do_not_affect_key(self):
         assert parse_tree("(*@a*@b)").key == parse_tree("(**)").key
+
+
+def _reversed_children(node):
+    children, label = node
+    if children is None:
+        return node
+    return (tuple(_reversed_children(c) for c in reversed(children)), label)
+
+
+def _leaves_labelled(node, counter):
+    children, label = node
+    if children is None:
+        counter[0] += 1
+        return (None, f"l{counter[0] % 2}")
+    return (tuple(_leaves_labelled(c, counter) for c in children), label)
+
+
+class TestCanonicalizeNode:
+    """`canonicalize_node` against the reference that re-serializes every
+    sub-term at every level: the same canonical node and the same address
+    map, in the same order."""
+
+    @staticmethod
+    def assert_matches(node):
+        got, want = canonicalize_node(node), oracles.naive_canonicalize_node(node)
+        assert got == want
+        assert list(got[1].items()) == list(want[1].items())
+
+    def test_every_tree_of_three_vertices(self):
+        trees = enumerate_trees_by_vertices(3, 3)
+        for t in trees:
+            node = t.node_at(())
+            for variant in (node, _reversed_children(node), _leaves_labelled(node, [0])):
+                self.assert_matches(variant)
+                self.assert_matches(_reversed_children(variant))
+        assert len(trees) > 50
+
+    def test_stump_chains(self):
+        # the reference costs the cube of the depth, so the deep end is sampled
+        for depth in [*range(1, 65), 96, 128, 192, MAX_TREE_DEPTH - 1, MAX_TREE_DEPTH]:
+            node = ((), None)
+            for _ in range(depth - 1):
+                node = ((node,), None)
+            self.assert_matches(node)
 
 
 class TestStats:
