@@ -50,7 +50,7 @@ from .morphisms import (
     factorize,
     operation_exists,
 )
-from .operads import FiniteOperad, Signature, perm_inverse
+from .operads import FiniteOperad, Signature, composition_instances, perm_inverse
 from .trees import (
     Tree,
     automorphisms,
@@ -222,12 +222,11 @@ class NerveDendroidalSet:
     def restrict(self, m: OmegaMorphism):
         """The contravariant action: a function values(target) -> values(source).
 
-        A source vertex whose witness is a single target vertex with identity
-        inputs in order picks that vertex's decoration.  Every other witness
-        is compiled, once per coloring of the target, into a post-order
-        program that makes the operad calls of evaluating the witness
-        recursively (the unit law skips a vertex with identity inputs in
-        order), with the same arguments and in the same order.
+        Every witness is compiled, once per coloring of the target, into a
+        post-order program that makes the operad calls of evaluating the
+        witness recursively, with the same arguments and in the same order;
+        by the unit law a vertex with identity inputs in order is a pick of
+        its decoration, not a composition.
         """
         source, target = m.source, m.target
         edge_pos = {e: i for i, e in enumerate(target.edges)}
@@ -237,14 +236,6 @@ class NerveDendroidalSet:
             operation_exists(target, m(v), tuple(m(c) for c in source.children(v)))
             for v in source.vertices
         ]
-        if all(_is_vertex_pick(w) for w in witnesses):
-            picks = tuple(vertex_pos[w.output] for w in witnesses)
-
-            def pick(element):
-                colors, decs = element
-                return (tuple([colors[i] for i in color_plan]), tuple([decs[i] for i in picks]))
-
-            return pick
         P = self.operad
         programs = {}
 
@@ -870,8 +861,6 @@ def verify_operad_isomorphism(P, Q, color_map, element_map, arity_bound, budget=
 
     `element_map(sig, element)` translates a P element at a P signature.
     """
-    from .operads import composition_instances
-
     failures = []
     checks = 0
     comp_limit = resolve_budget(budget)

@@ -20,6 +20,9 @@ inner-edge contraction, one outer face per removable top vertex, and one
 per root input whose siblings are all leaves.  Faces are deduplicated and
 ordered by a canonical orbit key under source automorphisms, computed by
 sorting isomorphic sibling blocks rather than enumerating the group.
+Subtree inclusions are built valid as well: an edge subset only ever leaves
+out closed branches, so no candidate is validated and dropped.  Extended
+corollas are read off the degeneracy chain of `shorten`.
 """
 
 from __future__ import annotations
@@ -205,12 +208,6 @@ class OmegaMorphism:
                 if img != set(self.target.children(self._map[e])):
                     return False
         return True
-
-    def inverse(self):
-        if not self.is_isomorphism():
-            raise DomainError("morphism is not an isomorphism")
-        inv = {t: s for s, t in self._map.items()}
-        return OmegaMorphism(self.target, self.source, inv, _checked=True)
 
     def then(self, other: "OmegaMorphism") -> "OmegaMorphism":
         """Composite: self followed by `other`."""
@@ -626,7 +623,8 @@ class SubtreeInclusion:
 
 
 def _induced_inclusion(t: Tree, subset):
-    """Inclusion morphism of the induced tree, or None when it is invalid."""
+    """Inclusion morphism of the tree induced by a connected edge subset
+    that leaves out only closed branches, which makes it valid."""
     base = min(subset, key=len)
 
     def build(e):
@@ -648,19 +646,22 @@ def _induced_inclusion(t: Tree, subset):
 
     raw, raw_map = build(base)
     tree, addr_map = _finish(raw, raw_map)
-    if not validate_morphism(tree, t, addr_map):
-        return None
     return OmegaMorphism(tree, t, addr_map, _checked=True)
 
 
 def subtrees(t: Tree, budget=None):
-    """All subtree inclusions of `t`, sorted by size then edge set."""
+    """All subtree inclusions of `t`, sorted by size then edge set.
+
+    The edge subsets are built valid rather than filtered: below an included
+    vertex a child branch may be left out only when it is closed, i.e. when
+    the empty input set carries an operation into it."""
     charge("subtrees", 2 ** len(t.edges), budget)
+    closed = {e for e, sets in _input_sets(t).items() if frozenset() in sets}
 
     def rooted(e):
         if t.is_leaf(e):
             return [frozenset({e})]
-        options = [[None] + rooted(c) for c in t.children(e)]
+        options = [([None] if c in closed else []) + rooted(c) for c in t.children(e)]
         out = []
         for combo in itertools.product(*options):
             chosen = [x for x in combo if x is not None]
@@ -671,8 +672,7 @@ def subtrees(t: Tree, budget=None):
     for e in t.edges:
         for subset in rooted(e):
             incl = _induced_inclusion(t, subset)
-            if incl is not None:
-                results.append(SubtreeInclusion(t, subset, incl.source, incl))
+            results.append(SubtreeInclusion(t, subset, incl.source, incl))
     results.sort(key=lambda s: (len(s.edge_subset), tuple(sorted(s.edge_subset))))
     return results
 
@@ -714,23 +714,20 @@ def is_extended_corolla(t: Tree, n: int):
     Extended n-corollas are the reduced trees connected to the reduced
     n-corolla by a chain of degeneracies, i.e. obtained from it by inserting
     unary vertices; the reduced n-corolla itself counts with an empty chain.
+    The chain is read from `shorten`: for n != 1 the reduced n-corolla has
+    no unary vertex, so it is all of shorten's chain.  The reduced 1-corolla
+    is itself unary; its extensions shorten to the stump by at least one
+    collapse, and their chain stops one collapse short of it.
     """
     if not is_reduced(t):
         return False, None
-    target_key = reduced_corolla(n).key
-    chain = []
-    current = t
-    while True:
-        if current.key == target_key:
-            return True, chain
-        unary = [v for v in current.vertices if len(current.node_at(v)[0]) == 1]
-        if n == 1 and len(unary) <= 1:
-            return False, None
-        if not unary:
-            return False, None
-        sigma = degeneracy_at(current, unary[0])
-        chain.append(sigma)
-        current = sigma.target
+    short, chain = shorten(t)
+    if n == 1:
+        if short.key == reduced_corolla(0).key and chain:
+            return True, chain[:-1]
+    elif short.key == reduced_corolla(n).key:
+        return True, chain
+    return False, None
 
 
 def classify(t: Tree):

@@ -409,14 +409,6 @@ class Collection:
 # kept in the generator's argument order.
 
 
-def _term_leaves(term):
-    if term[0] == "leaf":
-        yield term[1]
-    else:
-        for c in term[2]:
-            yield from _term_leaves(c)
-
-
 def _term_serialize(term):
     if term[0] == "leaf":
         return f"L{term[1]}"
@@ -829,6 +821,10 @@ _SLICE = 1 << 14
 # The cell of a block whose `compose` or `sigma` call raised.
 _RAISED = -1
 
+# Largest arity whose symmetric group the symmetry and equivariance laws
+# run through.
+MAX_PERM_ARITY = 4
+
 
 def _sig_str(s):
     return f"({','.join(map(str, s.inputs))};{s.output})"
@@ -885,8 +881,6 @@ class _Tables:
     def __init__(self, P, sigs, np):
         self.P, self.np = P, np
         self._known = set(sigs)
-        # one object per signature, so that equal keys are mostly identical
-        self._canon = {s: s for s in sigs}
         self.elements = {}  # sig -> hom elements by position, then fresh values
         self._ids = {}  # sig -> {element: first id}
         self._size = {}  # sig -> number of hom positions
@@ -931,7 +925,6 @@ class _Tables:
 
     def _store(self, axes, out_sig, values):
         np = self.np
-        out_sig = self._canon.setdefault(out_sig, out_sig)
         shape = tuple(self.size(s) for s in axes)
         n = math.prod(shape)
         if self._used + n >= len(self.cells):
@@ -1206,14 +1199,14 @@ def _check_associativity(T, report, instances, sigs, arity_bound, limit):
         report.checked += rows * cols
 
 
-def _check_symmetry(T, report, sigs, max_perm_arity):
+def _check_symmetry(T, report, sigs):
     """sigma by the identity fixes every element, and acting by p then by q
     is acting by ``perm_compose(p, q)``: rows are the elements of a
     signature, columns the identity law and then every (p, q)."""
     P, np = T.P, T.np
     for s in sigs:
         n = s.arity
-        if n < 2 or n > max_perm_arity:
+        if n < 2 or n > MAX_PERM_ARITY:
             continue
         ident = tuple(range(n))
         pairs = list(itertools.product(itertools.permutations(range(n)), repeat=2))
@@ -1282,7 +1275,7 @@ class _Column(NamedTuple):
     perm: tuple
 
 
-def _check_equivariance(T, report, instances, max_perm_arity):
+def _check_equivariance(T, report, instances):
     """Composition against the symmetric action: ``(f·p) ∘ (gs permuted by
     p) == (f ∘ gs)·(block permutation of p)`` and ``f ∘ (gs with g_slot·tau)
     == (f ∘ gs)·(direct sum of tau)``.  Rows are the (f, gs) choices,
@@ -1292,7 +1285,7 @@ def _check_equivariance(T, report, instances, max_perm_arity):
     P, np = T.P, T.np
     for ps, cs in instances:
         n = ps.arity
-        if n > max_perm_arity:
+        if n > MAX_PERM_ARITY:
             continue
         arities = [s.arity for s in cs]
         A = T.compose(ps, cs)
@@ -1306,7 +1299,7 @@ def _check_equivariance(T, report, instances, max_perm_arity):
             perm = block_permutation(p, arities)
             laws.append(_Column("parent-equivariance", {"perm": p}, 0, act, lhs, strides, perm))
         for slot, k in enumerate(arities):
-            if k < 2 or k > max_perm_arity:
+            if k < 2 or k > MAX_PERM_ARITY:
                 continue
             for tau in itertools.permutations(range(k)):
                 act = T.sigma(cs[slot], tau)
@@ -1377,7 +1370,7 @@ def _check_equivariance(T, report, instances, max_perm_arity):
         report.checked += math.prod(A.shape) * len(laws)
 
 
-def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arity=4):
+def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None):
     """Enumerate unit, associativity and equivariance instances up to the
     arity bound and report every violation.
 
@@ -1388,7 +1381,8 @@ def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
     Each law is then one grid of instances per signature or composition
     instance, compared as gathers from those arrays a slice at a time, so
     that no temporary array outgrows the largest block or `_SLICE` cells;
-    ``instances_checked`` is the sum of the grid sizes.
+    ``instances_checked`` is the sum of the grid sizes.  The symmetry and
+    equivariance laws skip arities above `MAX_PERM_ARITY`.
 
     The report, the budget error and the error of an instance whose scalar
     call raises are those of checking instance by instance: an instance that
@@ -1410,6 +1404,6 @@ def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
     T = _Tables(P, sigs, np)
     _check_units(T, report, sigs)
     _check_associativity(T, report, instances, sigs, arity_bound, resolve_budget(budget))
-    _check_symmetry(T, report, sigs, max_perm_arity)
-    _check_equivariance(T, report, instances, max_perm_arity)
+    _check_symmetry(T, report, sigs)
+    _check_equivariance(T, report, instances)
     return report

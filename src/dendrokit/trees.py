@@ -134,10 +134,6 @@ class Tree:
         """All edge addresses in lexicographic (DFS preorder) order."""
         return self._edges
 
-    @property
-    def root(self):
-        return ()
-
     def node_at(self, addr):
         try:
             return self._nodes[addr]
@@ -156,9 +152,6 @@ class Tree:
         if children is LEAF:
             raise DomainError("leaf edge has no vertex", {"address": format_address(addr)})
         return tuple(addr + (i,) for i in range(len(children)))
-
-    def parent(self, addr):
-        return addr[:-1] if addr else None
 
     def label(self, addr):
         return self.node_at(addr)[1]
@@ -470,83 +463,53 @@ def _size_multisets(total, parts, min_size):
     yield from rec(total, parts, upper, [])
 
 
-@lru_cache(maxsize=None)
-def _shapes_by_edges(n_edges, max_inputs, reduced_only):
-    """Canonical unlabelled shapes with exactly `n_edges` edges."""
-    if n_edges < 1:
-        return ()
-    if n_edges == 1:
-        base = [((), None)]
-        if not reduced_only:
-            base.insert(0, (LEAF, None))
-        return tuple(base)
-    shapes = {}
-    for k in range(1, max_inputs + 1):
-        for sizes in _size_multisets(n_edges - 1, k, 1):
-            pools = [
-                list(
-                    itertools.combinations_with_replacement(
-                        _shapes_by_edges(size, max_inputs, reduced_only), mult
-                    )
-                )
-                for size, mult in sizes
-            ]
-            for combo in itertools.product(*pools):
-                children = tuple(c for group in combo for c in group)
-                node, _ = canonicalize_node((children, None))
-                shapes.setdefault(_node_key(node), node)
-    return tuple(shapes[key] for key in sorted(shapes))
+def _shape_levels(max_size, max_inputs, reduced_only, leaf_size):
+    """Canonical unlabelled shapes by size, one tuple per size 0..max_size.
 
-
-@lru_cache(maxsize=None)
-def _shapes_by_vertices(n_vertices, max_inputs, reduced_only):
-    """Canonical unlabelled shapes with exactly `n_vertices` vertices."""
-    if n_vertices == 0:
-        return () if reduced_only else ((LEAF, None),)
-    shapes = {}
-    for k in range(0, max_inputs + 1):
-        if k == 0:
-            if n_vertices == 1:
-                node = ((), None)
-                shapes.setdefault(_node_key(node), node)
-            continue
-        for sizes in _size_multisets(n_vertices - 1, k, 0):
-            pools = [
-                list(
-                    itertools.combinations_with_replacement(
-                        _shapes_by_vertices(size, max_inputs, reduced_only), mult
-                    )
-                )
-                for size, mult in sizes
-            ]
-            for combo in itertools.product(*pools):
-                children = tuple(c for group in combo for c in group)
-                node, _ = canonicalize_node((children, None))
-                shapes.setdefault(_node_key(node), node)
-    return tuple(shapes[key] for key in sorted(shapes))
+    A leaf has size `leaf_size` (1 counts edges, 0 counts vertices) and a
+    vertex one more than the sum of its children's sizes, so each level is
+    built from the levels below it.  Within a level shapes are sorted by
+    key, except that the leaf comes first."""
+    levels = []
+    for size in range(max_size + 1):
+        shapes = {}
+        for k in range(max_inputs + 1):
+            for sizes in _size_multisets(size - 1, k, leaf_size):
+                pools = [
+                    list(itertools.combinations_with_replacement(levels[s], mult))
+                    for s, mult in sizes
+                ]
+                for combo in itertools.product(*pools):
+                    children = tuple(c for group in combo for c in group)
+                    node, _ = canonicalize_node((children, None))
+                    shapes.setdefault(_node_key(node), node)
+        level = [shapes[key] for key in sorted(shapes)]
+        if size == leaf_size and not reduced_only:
+            level.insert(0, (LEAF, None))
+        levels.append(tuple(level))
+    return levels
 
 
 def enumerate_trees(max_edges, max_inputs, reduced_only=False, budget=None):
     """One canonical representative per isomorphism class of trees with at
     most `max_edges` edges and every vertex having at most `max_inputs`
-    inputs.  With `reduced_only`, only trees without any leaves."""
+    inputs.  With `reduced_only`, only trees without any leaves.
+
+    Trees come by edge count, and within one count in key order with the
+    leaf first; the shapes are built bottom-up on every call, nothing is
+    cached."""
     if max_edges < 1:
         raise DomainError("max_edges must be >= 1", {"max_edges": max_edges})
     charge("enumerate_trees", 2 ** min(max_edges * 2, 64), budget)
-    out = []
-    for e in range(1, max_edges + 1):
-        for node in _shapes_by_edges(e, max_inputs, bool(reduced_only)):
-            out.append(Tree(node, _canonical=True))
-    return out
+    levels = _shape_levels(max_edges, max_inputs, bool(reduced_only), leaf_size=1)
+    return [Tree(node, _canonical=True) for level in levels for node in level]
 
 
 def enumerate_trees_by_vertices(max_vertices, max_inputs, reduced_only=False, budget=None):
-    """Like enumerate_trees but bounded by vertex count instead of edges."""
+    """Like enumerate_trees but bounded by vertex count instead of edges,
+    and ordered by vertex count."""
     if max_vertices < 0:
         raise DomainError("max_vertices must be >= 0", {"max_vertices": max_vertices})
     charge("enumerate_trees_by_vertices", (max_inputs + 2) ** min(2 * max_vertices + 1, 24), budget)
-    out = []
-    for v in range(0, max_vertices + 1):
-        for node in _shapes_by_vertices(v, max_inputs, bool(reduced_only)):
-            out.append(Tree(node, _canonical=True))
-    return out
+    levels = _shape_levels(max_vertices, max_inputs, bool(reduced_only), leaf_size=0)
+    return [Tree(node, _canonical=True) for level in levels for node in level]

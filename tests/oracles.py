@@ -27,10 +27,16 @@ canonical form, term, nested set and valences re-serialize or walk every
 sub-term at every level; the library builds each tree once from canonical
 branches.  The reference tree canonicalization re-serializes every sub-term
 to sort the children of each vertex; the library builds the sort keys once,
-bottom-up.
+bottom-up.  The reference tree shapes come from two memoized recurrences,
+one per size measure; the library builds one measure's levels bottom-up
+per call.  The reference subtrees offer every child branch for omission and
+validate each induced inclusion; the library only omits closed branches.
+The reference extended-corolla test collapses unary vertices until it
+meets the reduced corolla; the library reads the chain of `shorten`.
 """
 
 import itertools
+from functools import lru_cache
 
 from dendrokit.dendroidal import (
     ETA,
@@ -45,11 +51,15 @@ from dendrokit.morphisms import (
     Face,
     OmegaMorphism,
     OpWitness,
+    SubtreeInclusion,
+    _finish,
     contract_inner_edge,
     degeneracy_at,
     hom_set,
+    is_reduced,
     max_operation_arity,
     operation_exists,
+    validate_morphism,
 )
 from dendrokit.operads import (
     AxiomReport,
@@ -66,10 +76,12 @@ from dendrokit.trees import (
     Tree,
     _node_key,
     _node_term,
+    _size_multisets,
     automorphisms,
     canonicalize_node,
     corolla,
     enumerate_trees_by_vertices,
+    reduced_corolla,
 )
 
 
@@ -262,6 +274,143 @@ def naive_canonicalize_node(node):
         for old_sub, new_sub in cmap.items():
             mapping[(old_i,) + old_sub] = (new_i,) + new_sub
     return (tuple(new_children), label), mapping
+
+
+# -- tree shapes, one memoized recurrence per size measure ----------------------
+
+
+@lru_cache(maxsize=None)
+def shapes_by_edges(n_edges, max_inputs, reduced_only):
+    """Canonical unlabelled shapes with exactly `n_edges` edges."""
+    if n_edges < 1:
+        return ()
+    if n_edges == 1:
+        base = [((), None)]
+        if not reduced_only:
+            base.insert(0, (LEAF, None))
+        return tuple(base)
+    shapes = {}
+    for k in range(1, max_inputs + 1):
+        for sizes in _size_multisets(n_edges - 1, k, 1):
+            pools = [
+                list(
+                    itertools.combinations_with_replacement(
+                        shapes_by_edges(size, max_inputs, reduced_only), mult
+                    )
+                )
+                for size, mult in sizes
+            ]
+            for combo in itertools.product(*pools):
+                children = tuple(c for group in combo for c in group)
+                node, _ = canonicalize_node((children, None))
+                shapes.setdefault(_node_key(node), node)
+    return tuple(shapes[key] for key in sorted(shapes))
+
+
+@lru_cache(maxsize=None)
+def shapes_by_vertices(n_vertices, max_inputs, reduced_only):
+    """Canonical unlabelled shapes with exactly `n_vertices` vertices."""
+    if n_vertices == 0:
+        return () if reduced_only else ((LEAF, None),)
+    shapes = {}
+    for k in range(0, max_inputs + 1):
+        if k == 0:
+            if n_vertices == 1:
+                node = ((), None)
+                shapes.setdefault(_node_key(node), node)
+            continue
+        for sizes in _size_multisets(n_vertices - 1, k, 0):
+            pools = [
+                list(
+                    itertools.combinations_with_replacement(
+                        shapes_by_vertices(size, max_inputs, reduced_only), mult
+                    )
+                )
+                for size, mult in sizes
+            ]
+            for combo in itertools.product(*pools):
+                children = tuple(c for group in combo for c in group)
+                node, _ = canonicalize_node((children, None))
+                shapes.setdefault(_node_key(node), node)
+    return tuple(shapes[key] for key in sorted(shapes))
+
+
+# -- subtrees by generate and filter ---------------------------------------------
+
+
+def _induced_inclusion(t: Tree, subset):
+    """Inclusion morphism of the induced tree, or None when it is invalid."""
+    base = min(subset, key=len)
+
+    def build(e):
+        children, label = t.node_at(e)
+        if children is LEAF:
+            return (LEAF, label), {(): e}
+        raw_children = []
+        out_map = {(): e}
+        pos = 0
+        for c in t.children(e):
+            if c not in subset:
+                continue
+            node, m = build(c)
+            raw_children.append(node)
+            for sub, orig in m.items():
+                out_map[(pos,) + sub] = orig
+            pos += 1
+        return (tuple(raw_children), label), out_map
+
+    raw, raw_map = build(base)
+    tree, addr_map = _finish(raw, raw_map)
+    if not validate_morphism(tree, t, addr_map):
+        return None
+    return OmegaMorphism(tree, t, addr_map, _checked=True)
+
+
+def naive_subtrees(t: Tree, budget=None):
+    """All subtree inclusions of `t`, sorted by size then edge set."""
+    charge("subtrees", 2 ** len(t.edges), budget)
+
+    def rooted(e):
+        if t.is_leaf(e):
+            return [frozenset({e})]
+        options = [[None] + rooted(c) for c in t.children(e)]
+        out = []
+        for combo in itertools.product(*options):
+            chosen = [x for x in combo if x is not None]
+            out.append(frozenset({e}).union(*chosen) if chosen else frozenset({e}))
+        return out
+
+    results = []
+    for e in t.edges:
+        for subset in rooted(e):
+            incl = _induced_inclusion(t, subset)
+            if incl is not None:
+                results.append(SubtreeInclusion(t, subset, incl.source, incl))
+    results.sort(key=lambda s: (len(s.edge_subset), tuple(sorted(s.edge_subset))))
+    return results
+
+
+# -- extended corollas by collapsing until the target -------------------------------
+
+
+def naive_is_extended_corolla(t: Tree, n: int):
+    """(flag, degeneracy chain to the reduced n-corolla when flag is True)."""
+    if not is_reduced(t):
+        return False, None
+    target_key = reduced_corolla(n).key
+    chain = []
+    current = t
+    while True:
+        if current.key == target_key:
+            return True, chain
+        unary = [v for v in current.vertices if len(current.node_at(v)[0]) == 1]
+        if n == 1 and len(unary) <= 1:
+            return False, None
+        if not unary:
+            return False, None
+        sigma = degeneracy_at(current, unary[0])
+        chain.append(sigma)
+        current = sigma.target
 
 
 # -- leaf-labelled trees, serialized per call -------------------------------------

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import oracles
+from dendrokit import morphisms
 from dendrokit.errors import BudgetExceeded, DomainError
 from dendrokit.morphisms import (
     OmegaMorphism,
@@ -26,6 +27,7 @@ from dendrokit.morphisms import (
     validate_morphism,
 )
 from dendrokit.trees import (
+    MAX_TREE_DEPTH,
     corolla,
     enumerate_trees,
     enumerate_trees_by_vertices,
@@ -328,6 +330,63 @@ class TestSubtrees:
         for t in enumerate_trees(5, 3):
             for s in subtrees(t):
                 assert validate_morphism(s.induced, t, s.inclusion.map)
+
+
+class TestSubtreesMatchFilter:
+    """`subtrees` builds only valid edge subsets; the reference offers every
+    branch for omission and drops the invalid inclusions.  Edge sets,
+    induced terms and inclusion maps agree, in the same order."""
+
+    @staticmethod
+    def assert_matches(trees):
+        for t in trees:
+            got = [s.to_json() for s in subtrees(t)]
+            assert got == [s.to_json() for s in oracles.naive_subtrees(t)]
+
+    def test_trees_of_four_vertices(self):
+        self.assert_matches(enumerate_trees_by_vertices(4, 3))
+
+    def test_trees_of_seven_edges(self):
+        self.assert_matches(enumerate_trees(7, 3))
+
+    def test_reduced_corollas(self):
+        self.assert_matches(reduced_corolla(n) for n in range(8))
+
+
+def _stump_chain(depth):
+    """`depth` nested vertices: a stump under depth - 1 unary vertices."""
+    return linear_tree(depth - 1, closed=True)
+
+
+class TestExtendedCorollaMatchesCollapse:
+    """`is_extended_corolla` reads the chain of `shorten`; the reference
+    collapses unary vertices until it meets the reduced corolla.  Flags and
+    chains agree for n = 0..4, and so do the `classify` reports."""
+
+    @staticmethod
+    def assert_matches(trees, monkeypatch):
+        for t in trees:
+            want = {n: oracles.naive_is_extended_corolla(t, n) for n in range(5)}
+            for n in range(5):
+                flag, chain = is_extended_corolla(t, n)
+                assert flag == want[n][0]
+                if flag:
+                    assert [m.to_json() for m in chain] == [m.to_json() for m in want[n][1]]
+                else:
+                    assert chain is None is want[n][1]
+            got = classify(t)
+            with monkeypatch.context() as patch:
+                patch.setattr(morphisms, "is_extended_corolla", lambda _, n: want[n])
+                assert got == classify(t)
+
+    def test_trees_of_eight_edges(self, monkeypatch):
+        self.assert_matches(enumerate_trees(8, 3), monkeypatch)
+
+    def test_stump_chains(self, monkeypatch):
+        self.assert_matches((_stump_chain(d) for d in range(1, 65)), monkeypatch)
+
+    def test_stump_chain_at_max_depth(self, monkeypatch):
+        self.assert_matches([_stump_chain(MAX_TREE_DEPTH)], monkeypatch)
 
 
 class TestClassify:

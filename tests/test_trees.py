@@ -263,6 +263,32 @@ class TestEnumeration:
         assert {t.key for t in trees} == by_edges
 
 
+class TestShapesMatchRecurrences:
+    """Both enumerations against the memoized per-measure recurrences they
+    replaced: the same terms in the same order, for every bound."""
+
+    @pytest.mark.parametrize("reduced_only", [False, True])
+    @pytest.mark.parametrize("max_inputs", [0, 1, 2, 3, 4])
+    def test_by_edges(self, max_inputs, reduced_only):
+        want = []
+        for e in range(1, 9):
+            want += [Tree(n).term for n in oracles.shapes_by_edges(e, max_inputs, reduced_only)]
+            got = [t.term for t in enumerate_trees(e, max_inputs, reduced_only=reduced_only)]
+            assert got == want
+
+    @pytest.mark.parametrize("reduced_only", [False, True])
+    @pytest.mark.parametrize("max_inputs", [0, 1, 2, 3, 4])
+    def test_by_vertices(self, max_inputs, reduced_only):
+        want = []
+        for v in range(0, 6):
+            want += [Tree(n).term for n in oracles.shapes_by_vertices(v, max_inputs, reduced_only)]
+            got = [
+                t.term
+                for t in enumerate_trees_by_vertices(v, max_inputs, reduced_only=reduced_only)
+            ]
+            assert got == want
+
+
 def _naive_generate(max_edges, max_inputs):
     """Grow trees upward from a single edge in all ways, dedup by key."""
     leaf, stump = "*", "()"
