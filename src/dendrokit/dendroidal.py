@@ -17,7 +17,8 @@ strategies are provided:
 
 On top of these sit the corolla boundary tables of the Segal core, the
 exact strict-Segal bijection check, and the reconstruction of an operad
-from any strict-Segal dendroidal set.
+from any strict-Segal dendroidal set, with its isomorphism to the operad
+checked on both operads' integer tables in `dendrokit.laws`.
 
 The strict-Segal check and the reconstruction read the Segal core the same
 way, and neither hashes value tuples.  Per corolla arity, a boundary table
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, charge, resolve_budget
+from .errors import DomainError, charge
 from .morphisms import (
     OmegaMorphism,
     degeneracies,
@@ -50,7 +51,7 @@ from .morphisms import (
     factorize,
     operation_exists,
 )
-from .operads import FiniteOperad, Signature, composition_instances, perm_inverse
+from .operads import FiniteOperad, Signature, perm_inverse
 from .trees import (
     Tree,
     automorphisms,
@@ -162,10 +163,10 @@ class NerveDendroidalSet:
             blocks.append((coloring, pools, size))
         return blocks
 
-    def corolla_columns(self, t: Tree, blocks=None):
+    def corolla_columns(self, t: Tree, index, blocks=None):
         """Per vertex v of `t`, the index array sending value i at `t` to the
-        index in `corolla_values(X, k_v)` of its restriction to the
-        subcorolla at v.
+        index of its restriction to the subcorolla at v, where ``index[k]``
+        is the index of every k-corolla value (`corolla_values`).
 
         No value tuple is built: the restriction keeps v's own decoration,
         which is the digit ``(i // stride_v) % radix_v`` of i's position in
@@ -175,7 +176,6 @@ class NerveDendroidalSet:
             blocks = self.value_blocks(t)
         verts = t.vertices
         arities = [len(t.children(v)) for v in verts]
-        index = {k: corolla_values(self, k)[1] for k in set(arities)}
         columns = [[] for _ in verts]
         for coloring, pools, size in blocks:
             if not size:
@@ -592,7 +592,7 @@ def _value_columns(X, t: Tree, boundary, budget):
     if isinstance(X, NerveDendroidalSet):
         blocks = X.value_blocks(t)
         charge("segal check values", sum(size for *_, size in blocks), budget)
-        return X.corolla_columns(t, blocks)
+        return X.corolla_columns(t, {k: b.index for k, b in boundary.items()}, blocks)
     values = X.values(t)
     charge("segal check values", len(values), budget)
     restrictors = [X.restrict(subcorolla_inclusion(t, v)) for v in t.vertices]
@@ -860,105 +860,14 @@ def verify_operad_isomorphism(P, Q, color_map, element_map, arity_bound, budget=
     all signatures and composition/symmetry instances within the bound.
 
     `element_map(sig, element)` translates a P element at a P signature.
+    The check compares integer tables of both operads (`dendrokit.laws`).
     """
-    failures = []
-    checks = 0
-    comp_limit = resolve_budget(budget)
-    sigs = P.nonempty_signatures(arity_bound, budget=budget)
+    from . import laws  # here, so that importing this module compiles no checker
 
-    def translate_sig(sig):
-        return Signature(tuple(color_map[c] for c in sig.inputs), color_map[sig.output])
-
-    # bijectivity per signature and a well-defined inverse on colors
-    if sorted(map(str, color_map.values())) != sorted(map(str, Q.colors)):
-        failures.append({"law": "color-bijection", "detail": "color map is not onto"})
-    element_tables = {}
-    for sig in sigs:
-        table = {el: element_map(sig, el) for el in P.hom(sig.inputs, sig.output)}
-        q_sig = translate_sig(sig)
-        q_hom = Q.hom(q_sig.inputs, q_sig.output)
-        checks += 1
-        if sorted(map(str, table.values())) != sorted(map(str, q_hom)):
-            failures.append(
-                {
-                    "law": "hom-bijection",
-                    "signature": str(sig),
-                    "p_count": len(table),
-                    "q_count": len(q_hom),
-                }
-            )
-        element_tables[(sig.inputs, sig.output)] = table
-
-    # identities
-    for c in P.colors:
-        sig = Signature((c,), c)
-        checks += 1
-        if element_map(sig, P.identity(c)) != Q.identity(color_map[c]):
-            failures.append({"law": "identity", "color": str(c)})
-
-    # composition
-    for parent_sig, child_sigs in composition_instances(P, arity_bound, sigs):
-        q_parent_sig = translate_sig(parent_sig)
-        q_child_sigs = [translate_sig(s) for s in child_sigs]
-        result_sig = Signature(
-            tuple(c for s in child_sigs for c in s.inputs), parent_sig.output
-        )
-        parent_table = element_tables[(parent_sig.inputs, parent_sig.output)]
-        child_tables = [element_tables[(s.inputs, s.output)] for s in child_sigs]
-        result_key = (result_sig.inputs, result_sig.output)
-        if result_key not in element_tables:
-            element_tables[result_key] = {
-                el: element_map(result_sig, el) for el in P.hom(*result_key)
-            }
-        result_table = element_tables[result_key]
-        for f in P.hom(parent_sig.inputs, parent_sig.output):
-            q_f = parent_table[f]
-            pools = [P.hom(s.inputs, s.output) for s in child_sigs]
-            for gs in itertools.product(*pools):
-                checks += 1
-                if checks > comp_limit:
-                    raise BudgetExceeded("isomorphism composition checks", checks, comp_limit)
-                p_result = P.compose(f, parent_sig, list(gs), list(child_sigs))
-                lhs = result_table[p_result]
-                rhs = Q.compose(
-                    q_f,
-                    q_parent_sig,
-                    [table[g] for table, g in zip(child_tables, gs)],
-                    q_child_sigs,
-                )
-                if lhs != rhs:
-                    failures.append(
-                        {
-                            "law": "composition",
-                            "parent": str(parent_sig),
-                            "f": str(f),
-                            "gs": [str(g) for g in gs],
-                        }
-                    )
-
-    # symmetry
-    for sig in sigs:
-        n = sig.arity
-        if n < 2:
-            continue
-        q_sig = translate_sig(sig)
-        for el in P.hom(sig.inputs, sig.output):
-            for perm in itertools.permutations(range(n)):
-                checks += 1
-                p_out = P.sigma(el, sig, perm)
-                out_sig = Signature(tuple(sig.inputs[i] for i in perm), sig.output)
-                lhs = element_map(out_sig, p_out)
-                rhs = Q.sigma(element_map(sig, el), q_sig, perm)
-                if lhs != rhs:
-                    failures.append(
-                        {"law": "symmetry", "signature": str(sig), "perm": perm}
-                    )
-    return IsomorphismWitness(
-        dict(color_map),
-        {k: v for k, v in element_tables.items()},
-        checks,
-        failures,
+    maps, checks, failures = laws.check_isomorphism(
+        P, Q, color_map, element_map, arity_bound, budget
     )
+    return IsomorphismWitness(dict(color_map), maps, checks, failures)
 
 
 def nerve_round_trip(P: FiniteOperad, arity_bound, budget=None) -> IsomorphismWitness:

@@ -150,11 +150,6 @@ def _input_sets(t: Tree):
     return table
 
 
-def max_operation_arity(t: Tree) -> int:
-    """Largest arity of any operation in the operad generated by `t`."""
-    return max(len(i) for sets in _input_sets(t).values() for i in sets)
-
-
 # -- morphisms -------------------------------------------------------------
 
 
@@ -721,7 +716,11 @@ def is_extended_corolla(t: Tree, n: int):
     """
     if not is_reduced(t):
         return False, None
-    short, chain = shorten(t)
+    return _extended_corolla(*shorten(t), n)
+
+
+def _extended_corolla(short, chain, n):
+    """`is_extended_corolla` of a reduced tree, read from its shortening."""
     if n == 1:
         if short.key == reduced_corolla(0).key and chain:
             return True, chain[:-1]
@@ -741,10 +740,12 @@ def classify(t: Tree):
             reduced_corolla_n = k
             break
     extended = []
-    for k in range(0, stats.max_inputs + 1):
-        flag, chain = is_extended_corolla(t, k)
-        if flag:
-            extended.append({"n": k, "chain_length": len(chain)})
+    if stats.is_reduced:
+        short, chain = shorten(t)
+        for k in range(0, stats.max_inputs + 1):
+            flag, ext = _extended_corolla(short, chain, k)
+            if flag:
+                extended.append({"n": k, "chain_length": len(ext)})
     return {
         "term": t.term,
         "key": t.key,

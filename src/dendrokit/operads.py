@@ -21,23 +21,17 @@ tuple of child arities, the position read in each child for every argument
 code of the composite; per permutation, the source position of every value.
 
 Axioms (unit, associativity, equivariance) are checked by enumeration, never
-assumed; ``check_operad_axioms`` reports every violated instance.  It first
-tabulates the operad: each hom element is an integer id (its position), each
-(parent signature, child signatures) pair the laws need becomes an int array
-of composite ids with one scalar ``compose`` per entry, and each (signature,
-permutation) pair an array with one scalar ``sigma`` per element.  Every law
-is then a grid of instances compared as gathers from those arrays.
+assumed; ``check_operad_axioms`` reports every violated instance.  The check
+itself lives in `dendrokit.laws`, on the operad's integer composition
+tables, and is imported only when called.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .errors import BudgetExceeded, DendroError, DomainError, charge, resolve_budget
+from .errors import BudgetExceeded, DomainError, charge
 from .morphisms import _input_sets
 from .trees import Tree
 
@@ -813,597 +807,12 @@ class AxiomReport:
         }
 
 
-# -- the axiom checker's integer tables -------------------------------------------
-
-# Cells of one slice of an instance grid, unless a block is larger.
-_SLICE = 1 << 14
-
-# The cell of a block whose `compose` or `sigma` call raised.
-_RAISED = -1
-
-# Largest arity whose symmetric group the symmetry and equivariance laws
-# run through.
-MAX_PERM_ARITY = 4
-
-
-def _sig_str(s):
-    return f"({','.join(map(str, s.inputs))};{s.output})"
-
-
-def _composite(sig, child_sigs):
-    """The signature of `sig` composed with `child_sigs`."""
-    return Signature(tuple(c for s in child_sigs for c in s.inputs), sig.output)
-
-
-def _permuted(sig, perm):
-    """The signature of an element of `sig` acted on by `perm`."""
-    return Signature(tuple(sig.inputs[i] for i in perm), sig.output)
-
-
-def _unravel(index, shape):
-    """The row-major position tuple of a flat `index` into `shape`."""
-    out = []
-    for n in reversed(shape):
-        index, digit = divmod(index, n)
-        out.append(digit)
-    return tuple(reversed(out))
-
-
-class _Block:
-    """One composition block or symmetry table: the ids of its values over
-    every choice of hom positions, laid out row-major at `offset` of the
-    arena.  Axis 0 is the parent (or the permuted element), the others the
-    children.  `irregular` when a cell raised or left its hom-set."""
-
-    __slots__ = ("offset", "shape", "strides", "out_sig", "irregular")
-
-    def __init__(self, offset, shape, out_sig, irregular):
-        self.offset, self.shape, self.out_sig, self.irregular = offset, shape, out_sig, irregular
-        strides = [1]
-        for n in reversed(shape[1:]):
-            strides.append(strides[-1] * n)
-        self.strides = tuple(reversed(strides))
-
-
-class _Tables:
-    """The integer tables of one operad, each filled on first use.
-
-    Every element of ``P.hom(sig)`` is identified by its position.  A value
-    outside the hom-set of its signature gets that signature's next fresh
-    id, so it compares unequal to every hom element; signatures outside the
-    checked ones have no positions at all.  A composition block holds one
-    ``P.compose`` per (parent, children) choice and a symmetry table one
-    ``P.sigma`` per element, all in one int64 arena; a call that raises
-    leaves ``_RAISED`` in its cell, to be raised again by the instance that
-    first needs it.
-    """
-
-    def __init__(self, P, sigs, np):
-        self.P, self.np = P, np
-        self._known = set(sigs)
-        self.elements = {}  # sig -> hom elements by position, then fresh values
-        self._ids = {}  # sig -> {element: first id}
-        self._size = {}  # sig -> number of hom positions
-        self._composed = {}  # (sig, child sigs) -> block
-        self._acted = {}  # (sig, perm) -> symmetry table
-        self.cells = np.empty(1024, dtype=np.int64)
-        self._used = 0
-        self.largest = 0
-
-    def size(self, sig):
-        if sig not in self._size:
-            els = list(self.P.hom(sig.inputs, sig.output)) if sig in self._known else []
-            ids = {}
-            for i, e in enumerate(els):
-                ids.setdefault(e, i)
-            self.elements[sig], self._ids[sig], self._size[sig] = els, ids, len(els)
-        return self._size[sig]
-
-    def hom(self, sig):
-        n = self.size(sig)
-        return self.elements[sig][:n]
-
-    def id_of(self, sig, element):
-        self.size(sig)
-        ids = self._ids[sig]
-        i = ids.get(element)
-        if i is None:
-            i = ids[element] = len(self.elements[sig])
-            self.elements[sig].append(element)
-        return i
-
-    def canonical(self, sig):
-        """The id of the element at every hom position of `sig`."""
-        ids = self._ids[sig]
-        return self.np.array([ids[e] for e in self.hom(sig)], dtype=self.np.int64)
-
-    def _value(self, out_sig, fn, *args):
-        try:
-            return self.id_of(out_sig, fn(*args))
-        except DendroError:
-            return _RAISED
-
-    def _store(self, axes, out_sig, values):
-        np = self.np
-        shape = tuple(self.size(s) for s in axes)
-        n = math.prod(shape)
-        if self._used + n >= len(self.cells):
-            grown = np.empty(2 * (self._used + n) + 1, dtype=np.int64)
-            grown[: self._used] = self.cells[: self._used]
-            self.cells = grown
-        cells = self.cells[self._used : self._used + n]
-        cells[:] = np.fromiter(values, dtype=np.int64, count=n)
-        irregular = n > 0 and (cells.min() < 0 or cells.max() >= self.size(out_sig))
-        block = _Block(self._used, shape, out_sig, bool(irregular))
-        self._used += n
-        self.largest = max(self.largest, n)
-        return block
-
-    def compose(self, sig, child_sigs):
-        """The block of ``P.compose`` over (parent, children) positions."""
-        block = self._composed.get((sig, child_sigs))
-        if block is None:
-            out, kids, compose = _composite(sig, child_sigs), list(child_sigs), self.P.compose
-            pools = [self.hom(s) for s in child_sigs]
-            values = (
-                self._value(out, compose, parent, sig, list(children), kids)
-                for parent in self.hom(sig)
-                for children in itertools.product(*pools)
-            )
-            block = self._composed[sig, child_sigs] = self._store((sig, *child_sigs), out, values)
-        return block
-
-    def sigma(self, sig, perm):
-        """The table of ``P.sigma(·, sig, perm)`` over the positions of `sig`."""
-        block = self._acted.get((sig, perm))
-        if block is None:
-            out, sigma = _permuted(sig, perm), self.P.sigma
-            values = (self._value(out, sigma, el, sig, perm) for el in self.hom(sig))
-            block = self._acted[sig, perm] = self._store((sig,), out, values)
-        return block
-
-    def column(self, values):
-        return self.np.array(values, dtype=self.np.int64)
-
-    def valid(self, ids, size):
-        """Mask of the ids that are hom positions below `size`, and the ids
-        with every other one replaced by 0 so that it can still be read."""
-        ok = (ids >= 0) & (ids < size)
-        return ok, self.np.where(ok, ids, 0)
-
-
-def _suffix_products(np, rows):
-    """Row i: the product of rows i.. of a 2-D int array; a last row of ones."""
-    out = np.ones((len(rows) + 1, rows.shape[1]), dtype=np.int64)
-    out[:-1] = np.cumprod(rows[::-1], axis=0)[::-1]
-    return out
-
-
-def _scan(T, report, rows, cols, evaluate, violation, replay, stop=None):
-    """Check a rows x cols grid of instances in row-major slices.
-
-    ``evaluate(r0, r1, c0, c1)`` returns the lhs and rhs id arrays of a slice
-    and the mask of its instances that read a raised cell or a fresh id, or
-    None when no table it reads holds one.  A mismatch becomes
-    ``violation(r, c, lhs, rhs)``; a masked instance is recomputed by
-    ``replay(r, c)`` through scalar calls, which raises where the instance
-    does.  Both return a violation or None.  Only the first `stop` instances
-    are looked at.  No slice holds more cells than the largest block or
-    `_SLICE`."""
-    cap = max(_SLICE, T.largest)
-    step = max(1, cap // cols)
-    for r0 in range(0, rows, step):
-        for c0 in range(0, cols, cap):
-            if stop is not None and r0 * cols + c0 >= stop:
-                return
-            lhs, rhs, bad = evaluate(r0, min(rows, r0 + step), c0, min(cols, c0 + cap))
-            hits = lhs != rhs if bad is None else (lhs != rhs) | bad
-            for i, j in zip(*T.np.nonzero(hits)):
-                r, c = r0 + int(i), c0 + int(j)
-                if stop is not None and r * cols + c >= stop:
-                    return
-                if bad is not None and bad[i, j]:
-                    found = replay(r, c)
-                else:
-                    found = violation(r, c, lhs[i, j], rhs[i, j])
-                if found:
-                    report.add(*found)
-
-
-# -- the laws, one instance grid at a time ---------------------------------------
-
-
-def _check_units(T, report, sigs):
-    """Right and left unit: rows are the elements of a signature, columns
-    the two laws."""
-    P, np = T.P, T.np
-    laws = ("right-unit", "left-unit")
-    for s in sigs:
-        if s.arity == 0:
-            continue
-        id_sigs = tuple(Signature((c,), c) for c in s.inputs)
-        out_sig = Signature((s.output,), s.output)
-        ids = [P.identity(c) for c in s.inputs]
-        out_id = P.identity(s.output)
-        right, left = T.compose(s, id_sigs), T.compose(out_sig, (s,))
-        r_ok, r_pos = T.valid(T.column([T.id_of(*a) for a in zip(id_sigs, ids)]), T.column(right.shape[1:]))
-        l_ok, l_pos = T.valid(T.id_of(out_sig, out_id), left.shape[0])
-        r_base = right.offset + int(r_pos @ T.column(right.strides[1:]))
-        l_base = left.offset + int(l_pos) * left.strides[0]
-        irregular = right.irregular or left.irregular or not (r_ok.all() and l_ok)
-        canon, cells = T.canonical(s), T.cells
-
-        def evaluate(r0, r1, c0, c1):
-            el = np.arange(r0, r1)
-            lhs = np.stack([cells[r_base + el * right.strides[0]], cells[l_base + el]], axis=1)
-            rhs = np.repeat(canon[r0:r1, None], 2, axis=1)
-            bad = (lhs < 0) | ~np.array([r_ok.all(), l_ok]) if irregular else None
-            return lhs[:, c0:c1], rhs[:, c0:c1], None if bad is None else bad[:, c0:c1]
-
-        def where(el):
-            return {"sig": _sig_str(s), "element": str(T.elements[s][el])}
-
-        def violation(el, law, lhs, rhs):
-            return laws[law], where(el), T.elements[s][lhs], T.elements[s][rhs]
-
-        def replay(el, law):
-            element = T.elements[s][el]
-            if law == 0:
-                got = P.compose(element, s, list(ids), list(id_sigs))
-            else:
-                got = P.compose(out_id, out_sig, [element], [s])
-            return (laws[law], where(el), got, element) if got != element else None
-
-        _scan(T, report, right.shape[0], 2, evaluate, violation, replay)
-        report.checked += 2 * right.shape[0]
-
-
-def _check_associativity(T, report, instances, sigs, arity_bound, limit):
-    """``(f ∘ gs) ∘ hs == f ∘ (g_i ∘ block_i(hs))`` per composition instance:
-    rows are the (f, gs) choices, columns every grandchild signature combo
-    with its (hs) choices, in product order."""
-    P, np, column = T.P, T.np, T.column
-    by_output = {}
-    for s in sigs:
-        by_output.setdefault(s.output, []).append(s)
-    below = {}
-
-    def blocks_below(sig):
-        """Grandchild signature combos for the inputs of `sig` in product
-        order, pruned as soon as their arities exceed the bound, with the
-        block of `sig` over each and that block's offsets, first-axis
-        strides, value hom sizes and combo arities as columns."""
-        if sig not in below:
-            combos = [((), 0)]
-            for c in sig.inputs:
-                combos = [
-                    (h + (s,), total + s.arity)
-                    for h, total in combos
-                    for s in by_output.get(c, ())
-                    if total + s.arity <= arity_bound
-                ]
-            blocks = [T.compose(sig, h) for h, _ in combos]
-            below[sig] = (
-                [h for h, _ in combos],
-                blocks,
-                column([b.offset for b in blocks]),
-                column([b.strides[0] for b in blocks]),
-                column([T.size(b.out_sig) for b in blocks]),
-                [total for _, total in combos],
-            )
-        return below[sig]
-
-    count = 0
-    for ps, cs in instances:
-        mid = _composite(ps, cs)
-        if mid.arity == 0:
-            # composing the nullary composite with nothing is trivial
-            continue
-        combos, B, b_off, b_step, _, _ = blocks_below(mid)
-        if not combos:
-            continue
-        A = T.compose(ps, cs)
-        D = [blocks_below(g) for g in cs]
-        # the combos of `mid` are one combo per child, within the bound, in
-        # the same product order
-        picks = [((), 0)]
-        for _, _, _, _, _, arities in D:
-            picks = [
-                (p + (j,), total + a)
-                for p, total in picks
-                for j, a in enumerate(arities)
-                if total + a <= arity_bound
-            ]
-        picks = [p for p, _ in picks]
-        E = [T.compose(ps, tuple(d[1][j].out_sig for d, j in zip(D, p))) for p in picks]
-        irregular = any(t.irregular for t in (A, *B, *E, *(b for d in D for b in d[1])))
-
-        starts = list(itertools.accumulate(b_step.tolist(), initial=0))
-        rows, cols = math.prod(A.shape), starts[-1]
-        stop = limit - count if count + rows * cols > limit else None
-        if stop is not None and not irregular:
-            raise BudgetExceeded("associativity instances", limit + 1, limit)
-
-        # per child (rows) and combo (columns): where the child's block sits,
-        # how its first axis steps, the hom size of its values, the hs
-        # choices of the later children and the stride of its value in E
-        pick = column(picks).reshape(len(picks), len(cs)).T
-        d_off, d_step, d_size = (np.stack([d[x][p] for d, p in zip(D, pick)]) for x in (2, 3, 4))
-        d_inner, e_step = _suffix_products(np, d_step)[1:], _suffix_products(np, d_size)
-        e_off = column([e.offset for e in E])
-        ends, first = column(starts[1:]), column(starts[:-1])
-        m_size, cells = T.size(mid), T.cells
-
-        def evaluate(r0, r1, c0, c1):
-            fg = np.arange(r0, r1)[:, None]
-            col = np.arange(c0, c1)
-            combo = np.searchsorted(ends, col, side="right")
-            local = col - first[combo]
-            bad = None
-            mids = cells[A.offset + fg]
-            if irregular:
-                ok, mids = T.valid(mids, m_size)
-                bad = ~ok
-            lhs = cells[b_off[combo] + local + mids * b_step[combo]]
-            step, size, e = d_step[:, combo], d_size[:, combo], e_step[:, combo]
-            read = d_off[:, combo] + local // d_inner[:, combo] % step
-            at = e_off[combo] + fg // A.strides[0] * e[0]
-            for i in range(len(cs)):
-                d = cells[read[i] + fg // A.strides[i + 1] % A.shape[i + 1] * step[i]]
-                if irregular:
-                    ok, d = T.valid(d, size[i])
-                    bad = bad | ~ok
-                at = at + d * e[i + 1]
-            rhs = cells[at]
-            if irregular:
-                bad = bad | (lhs < 0) | (rhs < 0)
-            return lhs, rhs, bad
-
-        def unpack(fg, col):
-            f, *gs = _unravel(fg, A.shape)
-            c = bisect.bisect_right(starts, col) - 1
-            hs = _unravel(col - starts[c], B[c].shape[1:])
-            f = T.elements[ps][f]
-            gs = [T.elements[s][g] for s, g in zip(cs, gs)]
-            hs = [T.elements[s][h] for s, h in zip(combos[c], hs)]
-            where = {
-                "parent": _sig_str(ps),
-                "children": [_sig_str(s) for s in cs],
-                "f": str(f),
-                "gs": [str(g) for g in gs],
-                "hs": [str(h) for h in hs],
-            }
-            return f, gs, c, hs, where
-
-        def violation(fg, col, lhs, rhs):
-            _, _, c, _, where = unpack(fg, col)
-            els = T.elements[B[c].out_sig]
-            return "associativity", where, els[lhs], els[rhs]
-
-        def replay(fg, col):
-            f, gs, c, hs, where = unpack(fg, col)
-            lhs = P.compose(P.compose(f, ps, gs, list(cs)), mid, hs, list(combos[c]))
-            rhs_children, rhs_sigs, pos = [], [], 0
-            for g, s in zip(gs, cs):
-                h_sigs = list(combos[c][pos : pos + s.arity])
-                rhs_children.append(P.compose(g, s, hs[pos : pos + s.arity], h_sigs))
-                rhs_sigs.append(_composite(s, h_sigs))
-                pos += s.arity
-            rhs = P.compose(f, ps, rhs_children, rhs_sigs)
-            return ("associativity", where, lhs, rhs) if lhs != rhs else None
-
-        _scan(T, report, rows, cols, evaluate, violation, replay, stop)
-        if stop is not None:
-            raise BudgetExceeded("associativity instances", limit + 1, limit)
-        count += rows * cols
-        report.checked += rows * cols
-
-
-def _check_symmetry(T, report, sigs):
-    """sigma by the identity fixes every element, and acting by p then by q
-    is acting by ``perm_compose(p, q)``: rows are the elements of a
-    signature, columns the identity law and then every (p, q)."""
-    P, np = T.P, T.np
-    for s in sigs:
-        n = s.arity
-        if n < 2 or n > MAX_PERM_ARITY:
-            continue
-        ident = tuple(range(n))
-        pairs = list(itertools.product(itertools.permutations(range(n)), repeat=2))
-        once = {p: T.sigma(s, p) for p, _ in pairs}
-        then = [T.sigma(once[p].out_sig, q) for p, q in pairs]
-        both = [once[perm_compose(p, q)] for p, q in pairs]
-        irregular = any(t.irregular for t in (*once.values(), *then))
-        p_off = T.column([once[p].offset for p, _ in pairs])
-        q_off, q_size = T.column([t.offset for t in then]), T.column([t.shape[0] for t in then])
-        pq_off = T.column([t.offset for t in both])
-        id_off, canon, cells = once[ident].offset, T.canonical(s), T.cells
-
-        def evaluate(r0, r1, c0, c1):
-            el = np.arange(r0, r1)[:, None]
-            pick = slice(max(c0, 1) - 1, c1 - 1)
-            el_p = cells[p_off[pick] + el]
-            if irregular:
-                ok, el_p = T.valid(el_p, q_size[pick])
-            lhs = [cells[q_off[pick] + el_p]]
-            rhs = [cells[pq_off[pick] + el]]
-            bad = [~ok | (lhs[0] < 0) | (rhs[0] < 0)] if irregular else None
-            if c0 == 0:
-                lhs.insert(0, cells[id_off + el])
-                rhs.insert(0, canon[r0:r1, None])
-                if irregular:
-                    bad.insert(0, lhs[0] < 0)
-            return (np.concatenate(lhs, axis=1), np.concatenate(rhs, axis=1),
-                    None if bad is None else np.concatenate(bad, axis=1))
-
-        def where(el):
-            return {"sig": _sig_str(s), "element": str(T.elements[s][el])}
-
-        def violation(el, col, lhs, rhs):
-            if col == 0:
-                return "sigma-identity", where(el), T.elements[s][lhs], T.elements[s][rhs]
-            p, q = pairs[col - 1]
-            els = T.elements[then[col - 1].out_sig]
-            return "sigma-functoriality", {**where(el), "p": p, "q": q}, els[lhs], els[rhs]
-
-        def replay(el, col):
-            element = T.elements[s][el]
-            if col == 0:
-                got = P.sigma(element, s, ident)
-                return ("sigma-identity", where(el), got, element) if got != element else None
-            p, q = pairs[col - 1]
-            one = P.sigma(P.sigma(element, s, p), _permuted(s, p), q)
-            two = P.sigma(element, s, perm_compose(p, q))
-            return ("sigma-functoriality", {**where(el), "p": p, "q": q}, one, two) if one != two else None
-
-        _scan(T, report, T.size(s), 1 + len(pairs), evaluate, violation, replay)
-        report.checked += T.size(s) * (1 + len(pairs))
-
-
-class _Column(NamedTuple):
-    """One column of the equivariance grid: its law and instance fields, the
-    operand it acts on (0 for f, 1 + slot for g_slot) through the symmetry
-    table `act`, the composition block `lhs` read with `strides` per
-    operand, and the permutation of the composite on the right-hand side."""
-
-    law: str
-    where: dict
-    operand: int
-    act: _Block
-    lhs: _Block
-    strides: tuple
-    perm: tuple
-
-
-def _check_equivariance(T, report, instances):
-    """Composition against the symmetric action: ``(f·p) ∘ (gs permuted by
-    p) == (f ∘ gs)·(block permutation of p)`` and ``f ∘ (gs with g_slot·tau)
-    == (f ∘ gs)·(direct sum of tau)``.  Rows are the (f, gs) choices,
-    columns every parent permutation and then every (slot, tau).  Each
-    column acts on one operand (0 for f, 1 + slot for g_slot) through a
-    symmetry table and reads its lhs from a composition block."""
-    P, np = T.P, T.np
-    for ps, cs in instances:
-        n = ps.arity
-        if n > MAX_PERM_ARITY:
-            continue
-        arities = [s.arity for s in cs]
-        A = T.compose(ps, cs)
-        base_sig = A.out_sig
-        laws = []
-        for p in itertools.permutations(range(n)):
-            act = T.sigma(ps, p)
-            lhs = T.compose(act.out_sig, tuple(cs[i] for i in p))
-            inv = perm_inverse(p)
-            strides = (lhs.strides[0], *(lhs.strides[1 + inv[i]] for i in range(n)))
-            perm = block_permutation(p, arities)
-            laws.append(_Column("parent-equivariance", {"perm": p}, 0, act, lhs, strides, perm))
-        for slot, k in enumerate(arities):
-            if k < 2 or k > MAX_PERM_ARITY:
-                continue
-            for tau in itertools.permutations(range(k)):
-                act = T.sigma(cs[slot], tau)
-                lhs = T.compose(ps, cs[:slot] + (act.out_sig,) + cs[slot + 1 :])
-                taus = [tau if i == slot else tuple(range(a)) for i, a in enumerate(arities)]
-                perm = direct_sum_permutation(taus)
-                where = {"slot": slot, "perm": tau}
-                laws.append(_Column("child-equivariance", where, 1 + slot, act, lhs, lhs.strides, perm))
-        rhs_tables = [T.sigma(base_sig, law.perm) for law in laws]
-        irregular = any(t.irregular for t in (A, *rhs_tables, *(x for law in laws for x in (law.act, law.lhs))))
-        column = T.column
-        operand = column([law.operand for law in laws])
-        s_off = column([law.act.offset for law in laws])
-        s_size = column([law.lhs.shape[law.operand] for law in laws])
-        c_off = column([law.lhs.offset for law in laws])
-        c_step = [column([law.strides[j] for law in laws]) for j in range(n + 1)]
-        a_step = column([law.strides[law.operand] for law in laws])
-        r_off = column([t.offset for t in rhs_tables])
-        b_size, cells = T.size(base_sig), T.cells
-
-        def evaluate(r0, r1, c0, c1):
-            fg = np.arange(r0, r1)
-            pick = slice(c0, c1)
-            xs = np.stack([fg // st % m for st, m in zip(A.strides, A.shape)], axis=1)
-            base = cells[A.offset + fg][:, None]
-            x = xs[:, operand[pick]]
-            acted = cells[s_off[pick] + x]
-            if irregular:
-                b_ok, base = T.valid(base, b_size)
-                ok, acted = T.valid(acted, s_size[pick])
-            at = c_off[pick] + (acted - x) * a_step[pick]
-            for j in range(n + 1):
-                at = at + xs[:, j, None] * c_step[j][pick]
-            lhs, rhs = cells[at], cells[r_off[pick] + base]
-            bad = ~b_ok | ~ok | (lhs < 0) | (rhs < 0) if irregular else None
-            return lhs, rhs, bad
-
-        def unpack(fg, col):
-            f, *gs = _unravel(fg, A.shape)
-            law, extra = laws[col].law, laws[col].where
-            f = T.elements[ps][f]
-            gs = [T.elements[s][g] for s, g in zip(cs, gs)]
-            where = {"parent": _sig_str(ps), **extra}
-            if law == "parent-equivariance":
-                where["f"] = str(f)
-            return f, gs, law, where
-
-        def violation(fg, col, lhs, rhs):
-            _, _, law, where = unpack(fg, col)
-            els = T.elements[rhs_tables[col].out_sig]
-            return law, where, els[lhs], els[rhs]
-
-        def replay(fg, col):
-            f, gs, law, where = unpack(fg, col)
-            base = P.compose(f, ps, gs, list(cs))
-            if law == "parent-equivariance":
-                p = where["perm"]
-                lhs = P.compose(P.sigma(f, ps, p), _permuted(ps, p), [gs[i] for i in p], [cs[i] for i in p])
-            else:
-                slot, tau = where["slot"], where["perm"]
-                gs[slot] = P.sigma(gs[slot], cs[slot], tau)
-                sigs_t = cs[:slot] + (_permuted(cs[slot], tau),) + cs[slot + 1 :]
-                lhs = P.compose(f, ps, gs, list(sigs_t))
-            rhs = P.sigma(base, base_sig, laws[col].perm)
-            return (law, where, lhs, rhs) if lhs != rhs else None
-
-        _scan(T, report, math.prod(A.shape), len(laws), evaluate, violation, replay)
-        report.checked += math.prod(A.shape) * len(laws)
-
-
 def check_operad_axioms(P: FiniteOperad, arity_bound, budget=None):
     """Enumerate unit, associativity and equivariance instances up to the
-    arity bound and report every violation.
+    arity bound and report every violation, with ``instances_checked`` the
+    number of instances.  The report, the budget error and the error of an
+    instance whose scalar call raises are those of checking instance by
+    instance, though the check compares integer tables (`dendrokit.laws`)."""
+    from . import laws  # here, so that importing this module compiles no checker
 
-    The operad is tabulated first (`_Tables`): every composite and permuted
-    element a law needs is computed once, by one scalar ``P.compose`` or
-    ``P.sigma`` call, into int arrays of element ids; a value outside its
-    hom-set gets a fresh id, so it compares unequal to every hom element.
-    Each law is then one grid of instances per signature or composition
-    instance, compared as gathers from those arrays a slice at a time, so
-    that no temporary array outgrows the largest block or `_SLICE` cells;
-    ``instances_checked`` is the sum of the grid sizes.  The symmetry and
-    equivariance laws skip arities above `MAX_PERM_ARITY`.
-
-    The report, the budget error and the error of an instance whose scalar
-    call raises are those of checking instance by instance: an instance that
-    reads a raised cell or composes a fresh id is recomputed by its scalar
-    calls, in order."""
-    import numpy as np  # here, so that importing the module does not load numpy
-
-    report = AxiomReport(P.name, arity_bound)
-    sigs = P.nonempty_signatures(arity_bound, budget=budget)
-    instances = composition_instances(P, arity_bound, sigs, budget=budget)
-
-    # identity elements exist
-    for c in P.colors:
-        ident = P.identity(c)
-        if ident not in P.hom((c,), c):
-            report.add("identity-exists", {"color": str(c)}, ident, P.hom((c,), c))
-        report.checked += 1
-
-    T = _Tables(P, sigs, np)
-    _check_units(T, report, sigs)
-    _check_associativity(T, report, instances, sigs, arity_bound, resolve_budget(budget))
-    _check_symmetry(T, report, sigs)
-    _check_equivariance(T, report, instances)
-    return report
+    return laws.check_axioms(P, arity_bound, budget)

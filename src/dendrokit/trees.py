@@ -180,9 +180,6 @@ class Tree:
         """True when edge `a` lies on the path from the root to `b` (a <= b)."""
         return b[: len(a)] == a
 
-    def edges_above(self, addr):
-        return tuple(e for e in self._edges if self.below(addr, e))
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other):

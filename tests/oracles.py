@@ -32,7 +32,11 @@ one per size measure; the library builds one measure's levels bottom-up
 per call.  The reference subtrees offer every child branch for omission and
 validate each induced inclusion; the library only omits closed branches.
 The reference extended-corolla test collapses unary vertices until it
-meets the reduced corolla; the library reads the chain of `shorten`.
+meets the reduced corolla; the library reads the chain of `shorten`.  The
+reference operad-isomorphism check composes every instance in both operads
+and compares the results through the element maps; the library's compares
+the two operads' integer tables.  `edges_above` and `max_operation_arity`
+serve only these oracles.
 """
 
 import itertools
@@ -40,24 +44,25 @@ from functools import lru_cache
 
 from dendrokit.dendroidal import (
     ETA,
+    IsomorphismWitness,
     SegalReport,
     _corolla_boundary,
     edge_inclusion,
     leaf_relabel_automorphism,
     subcorolla_inclusion,
 )
-from dendrokit.errors import DomainError, charge
+from dendrokit.errors import BudgetExceeded, DomainError, charge, resolve_budget
 from dendrokit.morphisms import (
     Face,
     OmegaMorphism,
     OpWitness,
     SubtreeInclusion,
     _finish,
+    _input_sets,
     contract_inner_edge,
     degeneracy_at,
     hom_set,
     is_reduced,
-    max_operation_arity,
     operation_exists,
     validate_morphism,
 )
@@ -213,6 +218,16 @@ def connected_edge_subsets(t):
     return out
 
 
+def edges_above(t: Tree, addr):
+    """The edges of `t` at or above `addr`."""
+    return tuple(e for e in t.edges if t.below(addr, e))
+
+
+def max_operation_arity(t: Tree) -> int:
+    """Largest arity of any operation in the operad generated by `t`."""
+    return max(len(i) for sets in _input_sets(t).values() for i in sets)
+
+
 def subtree_subset_is_valid(t, subset):
     """Validity of an edge subset as a subtree: every omitted input branch
     at an included non-leaf edge is closed (no leaf above it)."""
@@ -221,7 +236,7 @@ def subtree_subset_is_valid(t, subset):
             continue
         for c in t.children(e):
             if c not in subset:
-                if any(t.is_leaf(above) for above in t.edges_above(c)):
+                if any(t.is_leaf(above) for above in edges_above(t, c)):
                     return False
     return True
 
@@ -890,6 +905,117 @@ def naive_operad_axioms(P: FiniteOperad, arity_bound, budget=None, max_perm_arit
                                 rhs,
                             )
     return report
+
+
+# -- operad isomorphisms, instance by instance ------------------------------------
+
+
+def naive_operad_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
+    """The isomorphism check as first written: every composition and
+    symmetry instance composed in P and in Q and compared through the
+    element maps.  The library's check compares tables and must report the
+    same signatures, instance count and failures in the same order.  One
+    line differs from the first version: a composite outside P's hom-set has
+    no image and fails, where that version raised KeyError."""
+    failures = []
+    checks = 0
+    comp_limit = resolve_budget(budget)
+    sigs = P.nonempty_signatures(arity_bound, budget=budget)
+
+    def translate_sig(sig):
+        return Signature(tuple(color_map[c] for c in sig.inputs), color_map[sig.output])
+
+    # bijectivity per signature and a well-defined inverse on colors
+    if sorted(map(str, color_map.values())) != sorted(map(str, Q.colors)):
+        failures.append({"law": "color-bijection", "detail": "color map is not onto"})
+    element_tables = {}
+    for sig in sigs:
+        table = {el: element_map(sig, el) for el in P.hom(sig.inputs, sig.output)}
+        q_sig = translate_sig(sig)
+        q_hom = Q.hom(q_sig.inputs, q_sig.output)
+        checks += 1
+        if sorted(map(str, table.values())) != sorted(map(str, q_hom)):
+            failures.append(
+                {
+                    "law": "hom-bijection",
+                    "signature": str(sig),
+                    "p_count": len(table),
+                    "q_count": len(q_hom),
+                }
+            )
+        element_tables[(sig.inputs, sig.output)] = table
+
+    # identities
+    for c in P.colors:
+        sig = Signature((c,), c)
+        checks += 1
+        if element_map(sig, P.identity(c)) != Q.identity(color_map[c]):
+            failures.append({"law": "identity", "color": str(c)})
+
+    # composition
+    no_image = object()
+    for parent_sig, child_sigs in composition_instances(P, arity_bound, sigs):
+        q_parent_sig = translate_sig(parent_sig)
+        q_child_sigs = [translate_sig(s) for s in child_sigs]
+        result_sig = Signature(
+            tuple(c for s in child_sigs for c in s.inputs), parent_sig.output
+        )
+        parent_table = element_tables[(parent_sig.inputs, parent_sig.output)]
+        child_tables = [element_tables[(s.inputs, s.output)] for s in child_sigs]
+        result_key = (result_sig.inputs, result_sig.output)
+        if result_key not in element_tables:
+            element_tables[result_key] = {
+                el: element_map(result_sig, el) for el in P.hom(*result_key)
+            }
+        result_table = element_tables[result_key]
+        for f in P.hom(parent_sig.inputs, parent_sig.output):
+            q_f = parent_table[f]
+            pools = [P.hom(s.inputs, s.output) for s in child_sigs]
+            for gs in itertools.product(*pools):
+                checks += 1
+                if checks > comp_limit:
+                    raise BudgetExceeded("isomorphism composition checks", checks, comp_limit)
+                p_result = P.compose(f, parent_sig, list(gs), list(child_sigs))
+                lhs = result_table.get(p_result, no_image)
+                rhs = Q.compose(
+                    q_f,
+                    q_parent_sig,
+                    [table[g] for table, g in zip(child_tables, gs)],
+                    q_child_sigs,
+                )
+                if lhs != rhs:
+                    failures.append(
+                        {
+                            "law": "composition",
+                            "parent": str(parent_sig),
+                            "f": str(f),
+                            "gs": [str(g) for g in gs],
+                        }
+                    )
+
+    # symmetry
+    for sig in sigs:
+        n = sig.arity
+        if n < 2:
+            continue
+        q_sig = translate_sig(sig)
+        for el in P.hom(sig.inputs, sig.output):
+            for perm in itertools.permutations(range(n)):
+                checks += 1
+                p_out = P.sigma(el, sig, perm)
+                out_sig = Signature(tuple(sig.inputs[i] for i in perm), sig.output)
+                lhs = element_map(out_sig, p_out)
+                rhs = Q.sigma(element_map(sig, el), q_sig, perm)
+                if lhs != rhs:
+                    failures.append(
+                        {"law": "symmetry", "signature": str(sig), "perm": perm}
+                    )
+    return IsomorphismWitness(
+        dict(color_map),
+        {k: v for k, v in element_tables.items()},
+        checks,
+        failures,
+    )
 
 
 # -- End operads by substitution ---------------------------------------------

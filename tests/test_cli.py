@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from dendrokit.fixtures import load_fixture_json
 from dendrokit.operads import TableOperad, check_operad_axioms
 from dendrokit.trees import MAX_TREE_DEPTH
 
@@ -177,6 +178,52 @@ def test_reconstruct_round_trip_flag():
     out = run("reconstruct", "--operad", "ass", "--arity-bound", "2", "--round-trip")
     payload = json.loads(out.stdout)
     assert payload["ok"] is True
+
+
+def test_round_trip_of_a_composite_outside_its_hom(tmp_path):
+    # one binary composite of the ass table is "bogus": P has no image for
+    # it, and Q, read from P's nerve, composes it where another grafting meets it
+    table = load_fixture_json("ass.operad.json")
+    next(c for c in table["comp"] if sum(len(ch["inputs"]) for ch in c["children"]) == 2)[
+        "result"
+    ] = "bogus"
+    path = tmp_path / "bogus.operad.json"
+    path.write_text(json.dumps(table))
+    proc = run("reconstruct", "--operad", str(path), "--arity-bound", "2", "--round-trip", check=False)
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    parent = "Signature(inputs=('x', 'x'), output='x')"
+    assert proc.stderr == json.dumps(
+        {
+            "error": "round trip failed",
+            "detail": {
+                "ok": False,
+                "colors": {"x": "(('x',), ())"},
+                "signatures": {
+                    "(('x', 'x'), 'x')": {
+                        "01": "(('x', 'x', 'x'), ('01',))",
+                        "10": "(('x', 'x', 'x'), ('10',))",
+                    },
+                    "(('x',), 'x')": {"0": "(('x', 'x'), ('0',))"},
+                    "((), 'x')": {"": "(('x',), ('',))"},
+                },
+                "instances_checked": 28,
+                "failures": [
+                    {"law": "composition", "parent": parent, "f": "01", "gs": ["", "01"]},
+                    {"law": "composition", "parent": parent, "f": "10", "gs": ["01", ""]},
+                ],
+            },
+        },
+        sort_keys=True,
+    ) + "\n"
+
+
+def test_import_leaves_the_law_checker_unloaded():
+    # only `operad check` and `--round-trip` import dendrokit.laws
+    code = "import sys, dendrokit.cli; print('dendrokit.laws' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_reconstruct_names_grafted_tree_outside_carrier(tmp_path):

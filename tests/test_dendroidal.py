@@ -21,7 +21,7 @@ from dendrokit.dendroidal import (
     subcorolla_inclusion,
     verify_operad_isomorphism,
 )
-from dendrokit.errors import BudgetExceeded, DomainError
+from dendrokit.errors import BudgetExceeded, DendroError, DomainError
 from dendrokit.fixtures import load_dendroidal, load_operad
 from dendrokit.morphisms import OmegaMorphism, hom_set
 from dendrokit.operads import (
@@ -251,12 +251,13 @@ class TestSegalIndexColumns:
     )
     def test_nerve_columns_match_restriction(self, factory, carrier):
         X = nerve(factory())
+        index = {k: corolla_values(X, k)[1] for k in range(carrier[1] + 1)}
         for t in enumerate_trees_by_vertices(*carrier):
             values = X.values(t)
-            for v, column in zip(t.vertices, X.corolla_columns(t)):
-                index = corolla_values(X, len(t.children(v)))[1]
+            for v, column in zip(t.vertices, X.corolla_columns(t, index)):
+                index_k = index[len(t.children(v))]
                 restrict = X.restrict(subcorolla_inclusion(t, v))
-                assert column.tolist() == [index[restrict(x)] for x in values]
+                assert column.tolist() == [index_k[restrict(x)] for x in values]
 
     def test_restriction_outside_corolla_values_reported(self):
         X = two_level_table(("z",), {"z": "p"}, {"z": "r"})
@@ -402,27 +403,193 @@ class TestReconstruction:
         # transposing two arity-3 elements (and nothing else) is a bijection
         # on every hom-set but does not commute with composition
         A = ass_operad(3)
-        X = nerve(A)
-        Q = reconstruct_operad(X, 3)
-
-        def color_of(c):
-            return ((c,), ())
-
-        def element_of(sig, el):
-            tn = corolla(sig.arity)
-            coloring = {(): sig.output}
-            for i, c in enumerate(sig.inputs):
-                coloring[(i,)] = c
-            wrong = el
-            if sig.arity == 3 and el in {(0, 1, 2), (1, 0, 2)}:
-                wrong = (1, 0, 2) if el == (0, 1, 2) else (0, 1, 2)
-            return (tuple(coloring[e] for e in tn.edges), (wrong,))
-
+        Q = reconstruct_operad(nerve(A), 3)
         witness = verify_operad_isomorphism(
-            A, Q, {c: color_of(c) for c in A.colors}, element_of, 3
+            A, Q, nerve_color_map(A), transposing_element_of, 3
         )
         assert not witness.ok
         assert any(f["law"] in {"composition", "symmetry"} for f in witness.failures)
+
+
+def nerve_color_map(P):
+    """Each color of P as the nerve's value at the one-edge tree."""
+    return {c: ((c,), ()) for c in P.colors}
+
+
+def nerve_element_of(sig, el):
+    """An element of P as the nerve's value at the corolla of `sig`."""
+    tn = corolla(sig.arity)
+    coloring = {(): sig.output}
+    for i, c in enumerate(sig.inputs):
+        coloring[(i,)] = c
+    return (tuple(coloring[e] for e in tn.edges), (el,))
+
+
+def transposing_element_of(sig, el):
+    """`nerve_element_of` with the ass elements 012 and 102 swapped."""
+    swap = {(0, 1, 2): (1, 0, 2), (1, 0, 2): (0, 1, 2)}
+    return nerve_element_of(sig, swap.get(el, el) if sig.arity == 3 else el)
+
+
+def outside_element_of(sig, el):
+    """`nerve_element_of` sending the ass element 10 outside Q's hom-set."""
+    return nerve_element_of(sig, "bogus" if el == (1, 0) else el)
+
+
+def without_symmetry_entry():
+    """The bundled ass table without one arity-3 symmetry entry."""
+    table = load_operad("ass.operad.json")
+    del table._sym[next(k for k in sorted(table._sym, key=str) if len(k[2]) == 3)]
+    return table
+
+
+def bogus_ass_table():
+    """The bundled ass table with one binary composite outside its hom-set."""
+    table = load_operad("ass.operad.json")
+    key = next(k for k in table.composition_keys() if sum(len(s[0]) for s in k[3]) == 2)
+    return table.corrupt(key, "bogus")
+
+
+def against_nerve(P, bound, element_of=nerve_element_of):
+    """The arguments checking P against the reconstruction of its nerve."""
+    return P, reconstruct_operad(nerve(P), bound), nerve_color_map(P), element_of, bound
+
+
+def ass_with_a_short_image():
+    """ass against itself, with the binary 10 sent to the unary 1: a value
+    outside Q's hom-set on which Q composes and acts without raising."""
+    A = ass_operad(3)
+    return A, ass_operad(3), {"x": "x"}, lambda sig, el: (1,) if el == (1, 0) else el, 3
+
+
+def ass_against_a_table_without_an_entry():
+    """ass against its bundled table with one composition entry dropped:
+    Q raises on a cell of its own hom-sets where P composes."""
+    Q = load_operad("ass.operad.json")
+    del Q._comp[next(k for k in Q.composition_keys() if [len(s[0]) for s in k[3]] == [1, 2])]
+    return ass_operad(3), Q, {"x": "x"}, lambda sig, el: "".join(map(str, el)), 3
+
+
+def ass_against_a_table_without_a_symmetry_entry():
+    """As above, with an arity-3 symmetry entry of Q dropped instead."""
+    P, _, color_map, element_of, bound = ass_against_a_table_without_an_entry()
+    return P, without_symmetry_entry(), color_map, element_of, bound
+
+
+class TestIsomorphismMatchesOracle:
+    """`verify_operad_isomorphism` compares the two operads' tables; the
+    oracle composes every instance in both.  Signatures, instance count,
+    failures and their order, and errors agree."""
+
+    CASES = {
+        "com-3": lambda: against_nerve(com_operad(), 3),
+        "ass-3": lambda: against_nerve(ass_operad(4), 3),
+        # the tables' arenas grow while the symmetry tables are filled
+        "ass-4": lambda: against_nerve(ass_operad(4), 4),
+        "end01-2": lambda: against_nerve(end_operad((0, 1), 2), 2),
+        "free-binary-3": lambda: against_nerve(free_operad(one_binary_generator(), 4), 3),
+        "omega-(*(**))-3": lambda: against_nerve(omega_operad(parse_tree("(*(**))")), 3),
+        "omega-((**)(**))-3": lambda: against_nerve(omega_operad(parse_tree("((**)(**))")), 3),
+        "omega-(()())-3": lambda: against_nerve(omega_operad(parse_tree("(()())")), 3),
+        "ass-3-transposed": lambda: against_nerve(ass_operad(3), 3, transposing_element_of),
+        "bogus-table-2": lambda: against_nerve(bogus_ass_table(), 2),
+        "bogus-table-3": lambda: against_nerve(bogus_ass_table(), 3),
+        "ass-3-image-outside-nerve": lambda: against_nerve(ass_operad(3), 3, outside_element_of),
+        "ass-3-short-image": ass_with_a_short_image,
+        "no-symmetry-entry-3": lambda: against_nerve(without_symmetry_entry(), 3),
+        "q-without-an-entry": ass_against_a_table_without_an_entry,
+        "q-without-a-symmetry-entry": ass_against_a_table_without_a_symmetry_entry,
+        # Q composes the image of the first element where P leaves its hom
+        "bogus-table-against-the-table": lambda: (
+            bogus_ass_table(), load_operad("ass.operad.json"), {"x": "x"}, lambda sig, el: el, 3
+        ),
+    }
+    EXPECTED = {
+        "ass-3-transposed": ["composition", "symmetry"],
+        "bogus-table-2": ["composition"],
+        "bogus-table-3": ["composition"],
+        "ass-3-image-outside-nerve": "no grafted element restricting to the given family; "
+        "the dendroidal set is not strict Segal on the grafted tree",
+        "ass-3-short-image": ["composition", "hom-bijection", "symmetry"],
+        "no-symmetry-entry-3": "missing symmetry table entry",
+        "q-without-an-entry": "missing composition table entry",
+        "q-without-a-symmetry-entry": "missing symmetry table entry",
+        "bogus-table-against-the-table": ["composition"],
+    }
+
+    @staticmethod
+    def outcome(verify, case, budget=None):
+        """The witness JSON, or the payload of the error that raises."""
+        args = TestIsomorphismMatchesOracle.CASES[case]()
+        try:
+            return verify(*args, budget=budget).to_json()
+        except DendroError as err:
+            return err.payload()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_witness(self, case):
+        got = self.outcome(verify_operad_isomorphism, case)
+        assert got == self.outcome(oracles.naive_operad_isomorphism, case)
+        if "error" in got:
+            summary = got["error"]
+        else:
+            summary = "ok" if got["ok"] else sorted({f["law"] for f in got["failures"]})
+        assert summary == self.EXPECTED.get(case, "ok")
+
+    def test_round_trip_is_the_witness(self):
+        P, bound = end_operad((0, 1), 2), 2
+        assert nerve_round_trip(P, bound).to_json() == self.outcome(verify_operad_isomorphism, "end01-2")
+
+    @pytest.mark.parametrize("budget", [5, 1000, 10000])
+    def test_budget_same_payload(self, budget):
+        # end01 at bound 3 has 1,108,632 composition instances
+        def run(verify):
+            P = end_operad((0, 1), 3)
+            Q = reconstruct_operad(nerve(P), 3)
+            with pytest.raises(BudgetExceeded) as err:
+                verify(P, Q, nerve_color_map(P), nerve_element_of, 3, budget=budget)
+            return err.value.payload()
+
+        got = run(verify_operad_isomorphism)
+        assert got == run(oracles.naive_operad_isomorphism)
+        assert got["detail"] == {
+            "operation": "isomorphism composition checks",
+            # four signatures and one identity are checked first
+            "estimate": max(budget, 5) + 1,
+            "budget": budget,
+        }
+
+    def test_error_below_the_budget_raises_first(self):
+        # the smallest budget that reaches the instance whose compose raises
+        case = "q-without-an-entry"
+        lo, hi = 0, 400
+        while lo < hi:
+            mid = (lo + hi) // 2
+            payload = self.outcome(oracles.naive_operad_isomorphism, case, budget=mid)
+            lo, hi = (lo, mid) if payload["error"] != "budget exceeded" else (mid + 1, hi)
+        assert 5 < lo < 400
+        for budget in (lo - 1, lo, lo + 1):
+            got = self.outcome(verify_operad_isomorphism, case, budget=budget)
+            assert got == self.outcome(oracles.naive_operad_isomorphism, case, budget=budget)
+            assert got["error"] == ("budget exceeded" if budget < lo else "missing composition table entry")
+
+    def test_missing_composition_entry_same_error(self):
+        table = load_operad("ass.operad.json")
+        keys = [k for k in table.composition_keys() if len(k[3]) >= 1]
+        for key in keys[:: len(keys) // 6]:
+            def run(verify):
+                P = load_operad("ass.operad.json")
+                del P._comp[key]
+                Q = reconstruct_operad(nerve(P), 3)
+                try:
+                    verify(P, Q, nerve_color_map(P), nerve_element_of, 3)
+                except DomainError as err:
+                    return err.payload()
+                return None
+
+            got = run(verify_operad_isomorphism)
+            assert got == run(oracles.naive_operad_isomorphism)
+            assert got["error"] == "missing composition table entry"
 
 
 def _outcome(fn, *args):

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import oracles
-from dendrokit import morphisms
 from dendrokit.errors import BudgetExceeded, DomainError
 from dendrokit.morphisms import (
     OmegaMorphism,
@@ -361,10 +360,11 @@ def _stump_chain(depth):
 class TestExtendedCorollaMatchesCollapse:
     """`is_extended_corolla` reads the chain of `shorten`; the reference
     collapses unary vertices until it meets the reduced corolla.  Flags and
-    chains agree for n = 0..4, and so do the `classify` reports."""
+    chains agree for n = 0..4, and `classify`, which shortens once for all
+    n, lists the reference's extended corollas and chain lengths."""
 
     @staticmethod
-    def assert_matches(trees, monkeypatch):
+    def assert_matches(trees):
         for t in trees:
             want = {n: oracles.naive_is_extended_corolla(t, n) for n in range(5)}
             for n in range(5):
@@ -374,19 +374,22 @@ class TestExtendedCorollaMatchesCollapse:
                     assert [m.to_json() for m in chain] == [m.to_json() for m in want[n][1]]
                 else:
                     assert chain is None is want[n][1]
-            got = classify(t)
-            with monkeypatch.context() as patch:
-                patch.setattr(morphisms, "is_extended_corolla", lambda _, n: want[n])
-                assert got == classify(t)
+            report = classify(t)
+            assert report["min_omega_level"] < 5
+            assert report["extended_corolla"] == [
+                {"n": n, "chain_length": len(want[n][1])}
+                for n in range(report["min_omega_level"] + 1)
+                if want[n][0]
+            ]
 
-    def test_trees_of_eight_edges(self, monkeypatch):
-        self.assert_matches(enumerate_trees(8, 3), monkeypatch)
+    def test_trees_of_eight_edges(self):
+        self.assert_matches(enumerate_trees(8, 3))
 
-    def test_stump_chains(self, monkeypatch):
-        self.assert_matches((_stump_chain(d) for d in range(1, 65)), monkeypatch)
+    def test_stump_chains(self):
+        self.assert_matches(_stump_chain(d) for d in range(1, 65))
 
-    def test_stump_chain_at_max_depth(self, monkeypatch):
-        self.assert_matches([_stump_chain(MAX_TREE_DEPTH)], monkeypatch)
+    def test_stump_chain_at_max_depth(self):
+        self.assert_matches([_stump_chain(MAX_TREE_DEPTH)])
 
 
 class TestClassify:
