@@ -864,10 +864,8 @@ def verify_operad_isomorphism(P, Q, color_map, element_map, arity_bound, budget=
     """
     from . import laws  # here, so that importing this module compiles no checker
 
-    maps, checks, failures = laws.check_isomorphism(
-        P, Q, color_map, element_map, arity_bound, budget
-    )
-    return IsomorphismWitness(dict(color_map), maps, checks, failures)
+    found = laws.check_isomorphism(P, Q, color_map, element_map, arity_bound, budget)
+    return IsomorphismWitness(dict(color_map), *found)
 
 
 def nerve_round_trip(P: FiniteOperad, arity_bound, budget=None) -> IsomorphismWitness:
@@ -877,18 +875,12 @@ def nerve_round_trip(P: FiniteOperad, arity_bound, budget=None) -> IsomorphismWi
     X = nerve(P, budget=budget)
     Q = reconstruct_operad(X, arity_bound, budget=budget)
 
-    def color_of(c):
-        # nerve element at the one-edge tree: one color, no vertices
-        return ((c,), ())
-
     def element_of(sig, el):
-        tn = corolla(sig.arity)
-        coloring = {(): sig.output}
-        for i, c in enumerate(sig.inputs):
-            coloring[(i,)] = c
-        return (tuple(coloring[e] for e in tn.edges), (el,))
+        # the nerve element at the corolla: root then leaf colors, one vertex
+        return ((sig.output, *sig.inputs), (el,))
 
-    color_map = {c: color_of(c) for c in P.colors}
+    # and a color's, at the one-edge tree: one color, no vertices
+    color_map = {c: ((c,), ()) for c in P.colors}
     return verify_operad_isomorphism(
         P, Q, color_map, element_of, arity_bound, budget=budget
     )

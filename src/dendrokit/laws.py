@@ -1,16 +1,14 @@
 """Operad laws checked on integer composition tables.
 
-`_Tables` tabulates an operad: an element of a checked hom-set is an integer
-id (its position), a (parent signature, child signatures) pair is an int
-array of composite ids with one scalar ``compose`` per entry, and a
-(signature, permutation) pair an array with one scalar ``sigma`` per
-element.  A value outside its hom-set gets a fresh id and a call that
-raises leaves a marker.  ``check_axioms`` (behind
-``operads.check_operad_axioms``) compares every law's instances as gathers
-from one operad's tables; ``check_isomorphism`` (behind
-``dendroidal.verify_operad_isomorphism``) compares two operads' tables
-through an element map.  Elements and images must be hashable.  Only those
-two entry points import this module, when called.
+`_Tables` tabulates an operad: a hom element is an integer id (its
+position), and a (parent, children) signature pair or a (signature,
+permutation) pair is an int array of value ids, one scalar ``compose`` or
+``sigma`` per entry.  ``check_axioms`` (behind ``operads.check_operad_axioms``)
+compares each law's instances as gathers from one operad's tables;
+``check_isomorphism`` (behind ``dendroidal.verify_operad_isomorphism``)
+compares two operads' tables through an element map.  Elements and images
+must be hashable.  Only those two entry points import this module, when
+called.
 """
 
 from __future__ import annotations
@@ -58,15 +56,6 @@ def _permuted(sig, perm):
     return Signature(tuple(sig.inputs[i] for i in perm), sig.output)
 
 
-def _unravel(index, shape):
-    """The row-major position tuple of a flat `index` into `shape`."""
-    out = []
-    for n in reversed(shape):
-        index, digit = divmod(index, n)
-        out.append(digit)
-    return tuple(reversed(out))
-
-
 class _Block:
     """One composition block or symmetry table: the ids of its values over
     every choice of hom positions, laid out row-major at `offset` of the
@@ -77,10 +66,7 @@ class _Block:
 
     def __init__(self, offset, shape, out_sig, irregular):
         self.offset, self.shape, self.out_sig, self.irregular = offset, shape, out_sig, irregular
-        strides = [1]
-        for n in reversed(shape[1:]):
-            strides.append(strides[-1] * n)
-        self.strides = tuple(reversed(strides))
+        self.strides = tuple(math.prod(shape[i + 1 :]) for i in range(len(shape)))
 
 
 class _Tables:
@@ -123,10 +109,8 @@ class _Tables:
 
     def id_of(self, sig, element):
         self.size(sig)
-        ids = self._ids[sig]
-        i = ids.get(element)
-        if i is None:
-            i = ids[element] = len(self.elements[sig])
+        i = self._ids[sig].setdefault(element, len(self.elements[sig]))
+        if i == len(self.elements[sig]):
             self.elements[sig].append(element)
         return i
 
@@ -394,9 +378,9 @@ def _check_associativity(T, report, instances, sigs, arity_bound, limit):
             return lhs, rhs, bad
 
         def unpack(fg, col):
-            f, *gs = _unravel(fg, A.shape)
+            f, *gs = np.unravel_index(fg, A.shape)
             c = bisect.bisect_right(starts, col) - 1
-            hs = _unravel(col - starts[c], B[c].shape[1:])
+            hs = np.unravel_index(col - starts[c], B[c].shape[1:])
             f = T.elements[ps][f]
             gs = [T.elements[s][g] for s, g in zip(cs, gs)]
             hs = [T.elements[s][h] for s, h in zip(combos[c], hs)]
@@ -574,7 +558,7 @@ def _check_equivariance(T, report, instances):
             return lhs, rhs, bad
 
         def unpack(fg, col):
-            f, *gs = _unravel(fg, A.shape)
+            f, *gs = np.unravel_index(fg, A.shape)
             law, extra = laws[col].law, laws[col].where
             f = T.elements[ps][f]
             gs = [T.elements[s][g] for s, g in zip(cs, gs)]
@@ -633,28 +617,20 @@ def check_axioms(P, arity_bound, budget=None):
 
 # -- isomorphisms, one pair of tables at a time ------------------------------------
 
-# The image of a P value outside its hom-set: unequal to every id.
-_NO_IMAGE = -2
-
 
 def check_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
     """The body of ``dendroidal.verify_operad_isomorphism``: the element
     maps by (inputs, output), the instance count and the failures.
 
-    Each P signature's elements are sent through `element_map` once, into
-    one array of Q ids (`image`).  A composition instance compares P's
-    block, read through the image of its result, with Q's block read at the
-    images of parent and children; a symmetry instance compares P's sigma
-    table, read through the image of its result, with Q's table at the
-    images.  A composite outside P's hom-set has no image and fails.  An
-    instance that reads a raised cell, or an image outside Q's hom-set, is
-    recomputed by its scalar calls, which raise where they raise.  The grid
-    that crosses the composition budget is compared up to it, and then the
-    budget error is raised."""
+    Each P signature's elements map to one array of Q ids (`image`).  An
+    instance compares P's table, read through the image of its result, with
+    Q's table read at the images.  One that reads a raised cell, a value
+    outside P's hom-sets or an image outside Q's is recomputed by scalar
+    calls; so are the instances below the budget in the grid that crosses
+    it, before the budget error."""
     failures, checks, limit = [], 0, resolve_budget(budget)
     sigs = P.nonempty_signatures(arity_bound, budget=budget)
     instances = composition_instances(P, arity_bound, sigs)
-    results = [_composite(ps, cs) for ps, cs in instances]
 
     def translate(sig):
         return Signature(tuple(color_map[c] for c in sig.inputs), color_map[sig.output])
@@ -662,7 +638,7 @@ def check_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
     # bijectivity per signature and a well-defined inverse on colors
     if sorted(map(str, color_map.values())) != sorted(map(str, Q.colors)):
         failures.append({"law": "color-bijection", "detail": "color map is not onto"})
-    PT, QT = _Tables(P, [*sigs, *results]), _Tables(Q, map(translate, sigs))
+    PT, QT = _Tables(P, sigs), _Tables(Q, map(translate, sigs))
     maps = {}  # P signature -> {P element: its image}
     for sig in sigs:
         maps[sig] = table = {el: element_map(sig, el) for el in PT.hom(sig)}
@@ -675,93 +651,72 @@ def check_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
         checks += 1
         if element_map(Signature((c,), c), P.identity(c)) != Q.identity(color_map[c]):
             failures.append({"law": "identity", "color": str(c)})
-    for r in results:
-        if r not in maps:
-            maps[r] = {el: element_map(r, el) for el in PT.hom(r)}
-    image = {s: QT.column([QT.id_of(translate(s), table[el]) for el in PT.hom(s)])
-             for s, table in maps.items()}
+    for ps, cs in instances:
+        maps.setdefault(_composite(ps, cs), {})  # a result with an empty hom-set
+    image = {s: QT.column([QT.id_of(translate(s), m[el]) for el in PT.hom(s)]) for s, m in maps.items()}
 
     for ps, cs in instances:
-        n = math.prod(map(PT.size, (ps, *cs)))
-        stop = limit - checks if checks + n > limit else None
-        failures.extend(_composition_failures(PT, QT, ps, cs, translate, maps, image, stop))
-        if stop is not None:
+        axes, result = (ps, *cs), maps[_composite(ps, cs)]
+        q_ps, *q_cs = map(translate, axes)
+        shape = tuple(map(PT.size, axes))
+
+        def failure(i):
+            f, *gs = (str(PT.elements[s][k]) for s, k in zip(axes, np.unravel_index(i, shape)))
+            return {"law": "composition", "parent": str(ps), "f": f, "gs": gs}
+
+        def replay(i):
+            f, *gs = (PT.elements[s][k] for s, k in zip(axes, np.unravel_index(i, shape)))
+            value = P.compose(f, ps, gs, list(cs))
+            q_value = Q.compose(maps[ps][f], q_ps, [maps[s][g] for s, g in zip(cs, gs)], q_cs)
+            return None if value in result and result[value] == q_value else failure(i)
+
+        if checks + math.prod(shape) > limit:
+            for i in range(limit - checks):
+                replay(i)
             raise BudgetExceeded("isomorphism composition checks", max(checks, limit) + 1, limit)
-        checks += n
+        checks += math.prod(shape)
+        compared = _compared(PT, QT, PT.compose(ps, cs), QT.compose(q_ps, tuple(q_cs)), axes, image)
+        failures.extend(_failures(*compared, failure, replay))
+
     for sig in sigs:
-        if sig.arity >= 2:
-            failures.extend(_symmetry_failures(PT, QT, sig, translate(sig), element_map, maps, image))
-            checks += PT.size(sig) * math.factorial(sig.arity)
+        if sig.arity < 2:
+            continue
+        q_sig, perms = translate(sig), list(itertools.permutations(range(sig.arity)))
+        columns = [_compared(PT, QT, PT.sigma(sig, p), QT.sigma(q_sig, p), (sig,), image) for p in perms]
+
+        def failure(i):
+            return {"law": "symmetry", "signature": str(sig), "perm": perms[i % len(perms)]}
+
+        def replay(i):
+            el, perm = PT.elements[sig][i // len(perms)], perms[i % len(perms)]
+            lhs = element_map(_permuted(sig, perm), P.sigma(el, sig, perm))
+            return failure(i) if lhs != Q.sigma(maps[sig][el], q_sig, perm) else None
+
+        failures.extend(_failures(*(np.stack(x, axis=1) for x in zip(*columns)), failure, replay))
+        checks += PT.size(sig) * len(perms)
     return {(s.inputs, s.output): table for s, table in maps.items()}, checks, failures
 
 
-def _through(PT, image, sig, ids):
-    """The images of P ids of `sig` (`_NO_IMAGE` for an id that is no hom
-    position), and the mask of the ids that are."""
-    size = PT.size(sig)
-    ok = (ids >= 0) & (ids < size)
-    return np.append(image.get(sig, []), _NO_IMAGE).astype(np.int64)[np.where(ok, ids, size)], ok
-
-
-def _grid(lhs, rhs, bad):
-    """The `evaluate` of `_scan` over whole arrays."""
-    return lambda r0, r1, c0, c1: (lhs[r0:r1, c0:c1], rhs[r0:r1, c0:c1], bad[r0:r1, c0:c1])
-
-
-def _composition_failures(PT, QT, ps, cs, translate, maps, image, stop):
-    """The failures of composing at (ps, cs) in P and at the images in Q,
-    f-major and then the gs in product order, up to instance `stop`."""
-    P, Q = PT.P, QT.P
-    axes, q_axes = (ps, *cs), tuple(map(translate, (ps, *cs)))
-    result, q_result = _composite(ps, cs), _composite(q_axes[0], q_axes[1:])
-    rows, shape = PT.size(ps), tuple(map(PT.size, cs))
-    cols = math.prod(shape)
-
-    def unpack(f, c):
-        f, gs = PT.elements[ps][f], [PT.elements[s][g] for s, g in zip(cs, _unravel(c, shape))]
-        return f, gs, {"law": "composition", "parent": str(ps), "f": str(f), "gs": [str(g) for g in gs]}
-
-    def replay(f, c):
-        f, gs, failure = unpack(f, c)
-        lhs = _through(PT, image, result, PT.id_of(result, P.compose(f, ps, gs, list(cs))))[0]
-        q_gs = [maps[s][g] for s, g in zip(cs, gs)]
-        rhs = QT.id_of(q_result, Q.compose(maps[ps][f], q_axes[0], q_gs, list(q_axes[1:])))
-        return failure if lhs != rhs else None
-
-    A, B = PT.compose(ps, cs), QT.compose(q_axes[0], q_axes[1:])
-    p = PT.cells[A.offset : A.offset + rows * cols].reshape(rows, cols)
-    lhs = _through(PT, image, result, p)[0]
-    # Q's block read at the images, where Q's hom-sets hold them all
+def _compared(PT, QT, A, B, axes, image):
+    """P's table `A` read through the image of its values, Q's table `B`
+    read at the images of the positions along `axes`, and the mask of the
+    instances that read a raised cell, a value outside P's hom-sets or an
+    image outside Q's."""
     held, at = True, B.offset
-    for s, q, stride in zip(axes, q_axes, B.strides):
-        ok, ids = QT.valid(image[s], QT.size(q))
+    for s, n, stride in zip(axes, B.shape, B.strides):
+        ok, ids = QT.valid(image[s], n)
         held, at = np.logical_and.outer(held, ok), np.add.outer(at, ids * stride)
-    rhs = QT.cells[at].reshape(rows, cols)
-    bad = (p < 0) | (rhs < 0) | ~held.reshape(rows, cols)
-    return _scan(PT, rows, cols, _grid(lhs, rhs, bad), lambda f, c, *_: unpack(f, c)[2], replay, stop)
+    ok, ids = PT.valid(PT.cells[A.offset : A.offset + at.size].reshape(at.shape), PT.size(A.out_sig))
+    rhs = QT.cells[at]
+    # where no value lies in P's hom-set, there may be no image to read
+    return image[A.out_sig][ids] if ok.any() else rhs, rhs, ~ok | ~held | (rhs < 0)
 
 
-def _symmetry_failures(PT, QT, sig, q_sig, element_map, maps, image):
-    """The failures of acting on `sig` by every permutation in P and at the
-    images in Q, element-major and then the permutations in order."""
-    P, Q = PT.P, QT.P
-    perms = list(itertools.permutations(range(sig.arity)))
-    held, q_row = QT.valid(image[sig], QT.size(q_sig))
-    columns = []
-    for perm in perms:
-        t, q = PT.sigma(sig, perm), QT.sigma(q_sig, perm)
-        lhs, ok = _through(PT, image, t.out_sig, PT.cells[t.offset : t.offset + len(q_row)])
-        columns.append((lhs, QT.cells[q.offset + q_row], ~ok))
-    lhs, rhs, bad = (np.stack(x, axis=1) for x in zip(*columns))
-    bad |= (rhs < 0) | ~held[:, None]
-
-    def violation(el, col, *_):
-        return {"law": "symmetry", "signature": str(sig), "perm": perms[col]}
-
-    def replay(el, col):
-        element, perm = PT.elements[sig][el], perms[col]
-        lhs = element_map(_permuted(sig, perm), P.sigma(element, sig, perm))
-        rhs = Q.sigma(maps[sig][element], q_sig, perm)
-        return violation(el, col) if lhs != rhs else None
-
-    return _scan(PT, len(q_row), len(perms), _grid(lhs, rhs, bad), violation, replay)
+def _failures(lhs, rhs, bad, failure, replay):
+    """In row-major order, `failure(i)` for each instance whose sides
+    differ and what `replay(i)` returns for each instance in `bad`, unless
+    None."""
+    for i in map(int, np.flatnonzero(bad | (lhs != rhs))):
+        found = replay(i) if bad.flat[i] else failure(i)
+        if found:
+            yield found

@@ -675,11 +675,6 @@ def subtrees(t: Tree, budget=None):
 # -- classification ----------------------------------------------------------
 
 
-def in_omega_level(t: Tree, n: int) -> bool:
-    """No vertex has more than n inputs (valence at most n+1)."""
-    return all(len(t.children(v)) <= n for v in t.vertices)
-
-
 def is_reduced(t: Tree) -> bool:
     """No leaves; every maximal edge ends in a stump."""
     return len(t.leaves) == 0

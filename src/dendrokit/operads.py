@@ -379,24 +379,6 @@ class Collection:
     def level(self, n):
         return self.levels.get(n, ())
 
-    def check_action(self, max_arity=None):
-        """Violations of the group-action laws on every stored level."""
-        bad = []
-        for n, elements in self.levels.items():
-            if max_arity is not None and n > max_arity:
-                continue
-            ident = tuple(range(n))
-            for el in elements:
-                if self.action(n, ident, el) != el:
-                    bad.append(("identity", n, el))
-            for p, q in itertools.product(itertools.permutations(range(n)), repeat=2):
-                for el in elements:
-                    one = self.action(n, q, self.action(n, p, el))
-                    two = self.action(n, perm_compose(p, q), el)
-                    if one != two:
-                        bad.append(("composition", n, (p, q, el)))
-        return bad
-
 
 # Free operad elements: ("leaf", i) for the i-th input, or
 # ("node", generator, children) with one child per generator input, children

@@ -371,9 +371,6 @@ class CoboundIndex:
     def leq(self, a, b):
         return a.edge_subset <= b.edge_subset
 
-    def witness_subsets(self):
-        return [sorted(self.subset_map[s]) for s in self.elements]
-
     def is_order_isomorphism(self):
         """Check the subset witness both ways on all pairs."""
         for a, b in itertools.product(self.elements, repeat=2):

@@ -303,11 +303,6 @@ def parse_tree(text: str) -> Tree:
     return Tree(node)
 
 
-def canonical_form(t: Tree) -> Tree:
-    """Idempotent; Tree values are canonical on construction already."""
-    return Tree(t._node)
-
-
 def format_address(addr):
     return ".".join(str(i) for i in addr)
 

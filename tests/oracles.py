@@ -228,6 +228,42 @@ def max_operation_arity(t: Tree) -> int:
     return max(len(i) for sets in _input_sets(t).values() for i in sets)
 
 
+def in_omega_level(t: Tree, n: int) -> bool:
+    """No vertex has more than n inputs (valence at most n+1)."""
+    return all(len(t.children(v)) <= n for v in t.vertices)
+
+
+def canonical_form(t: Tree) -> Tree:
+    """A tree rebuilt from its node; Tree values are canonical on
+    construction already."""
+    return Tree(t._node)
+
+
+def witness_subsets(poset):
+    """The branch-index subset of every element of a cobound index poset."""
+    return [sorted(poset.subset_map[s]) for s in poset.elements]
+
+
+def collection_action_violations(C, max_arity=None):
+    """Violations of the group-action laws on every stored level of a
+    collection."""
+    bad = []
+    for n, elements in C.levels.items():
+        if max_arity is not None and n > max_arity:
+            continue
+        ident = tuple(range(n))
+        for el in elements:
+            if C.action(n, ident, el) != el:
+                bad.append(("identity", n, el))
+        for p, q in itertools.product(itertools.permutations(range(n)), repeat=2):
+            for el in elements:
+                one = C.action(n, q, C.action(n, p, el))
+                two = C.action(n, perm_compose(p, q), el)
+                if one != two:
+                    bad.append(("composition", n, (p, q, el)))
+    return bad
+
+
 def subtree_subset_is_valid(t, subset):
     """Validity of an edge subset as a subtree: every omitted input branch
     at an included non-leaf edge is closed (no leaf above it)."""

@@ -540,24 +540,53 @@ class TestIsomorphismMatchesOracle:
         P, bound = end_operad((0, 1), 2), 2
         assert nerve_round_trip(P, bound).to_json() == self.outcome(verify_operad_isomorphism, "end01-2")
 
+    @staticmethod
+    def over_budget(verify, P, Q, color_map, element_of, bound, budget):
+        """The budget error's payload and the number of Q compositions made
+        before it."""
+        calls, compose = [0], Q.compose
+
+        def counted(*args):
+            calls[0] += 1
+            return compose(*args)
+
+        Q.compose = counted
+        with pytest.raises(BudgetExceeded) as err:
+            verify(P, Q, color_map, element_of, bound, budget=budget)
+        return err.value.payload(), calls[0]
+
     @pytest.mark.parametrize("budget", [5, 1000, 10000])
     def test_budget_same_payload(self, budget):
-        # end01 at bound 3 has 1,108,632 composition instances
+        # end01 at bound 3 has 1,108,632 composition instances; the grid
+        # that crosses the budget is composed only below it, as the oracle
+        # composes it
         def run(verify):
             P = end_operad((0, 1), 3)
             Q = reconstruct_operad(nerve(P), 3)
-            with pytest.raises(BudgetExceeded) as err:
-                verify(P, Q, nerve_color_map(P), nerve_element_of, 3, budget=budget)
-            return err.value.payload()
+            return self.over_budget(verify, P, Q, nerve_color_map(P), nerve_element_of, 3, budget)
 
-        got = run(verify_operad_isomorphism)
-        assert got == run(oracles.naive_operad_isomorphism)
+        got, calls = run(verify_operad_isomorphism)
+        assert (got, calls) == run(oracles.naive_operad_isomorphism)
+        assert calls == max(budget - 5, 0)
         assert got["detail"] == {
             "operation": "isomorphism composition checks",
             # four signatures and one identity are checked first
             "estimate": max(budget, 5) + 1,
             "budget": budget,
         }
+
+    def test_budget_stops_composing_where_the_oracle_does(self):
+        # End({0,1,2}) at bound 2 has 2.3e9 composition instances in grids
+        # of up to 3^19; P is Q, so each instance below the budget composes
+        # twice
+        def run(verify):
+            E = end_operad((0, 1, 2), 2)
+            return self.over_budget(verify, E, E, {"x": "x"}, lambda sig, el: el, 2, 20_000)
+
+        got, calls = run(verify_operad_isomorphism)
+        assert (got, calls) == run(oracles.naive_operad_isomorphism)
+        assert calls == 2 * (20_000 - 4)
+        assert got["detail"]["estimate"] == 20_001
 
     def test_error_below_the_budget_raises_first(self):
         # the smallest budget that reaches the instance whose compose raises

@@ -16,7 +16,6 @@ from dendrokit.morphisms import (
     elementary_faces,
     factorize,
     hom_set,
-    in_omega_level,
     is_extended_corolla,
     is_reduced,
     is_reduced_corolla,
@@ -395,8 +394,9 @@ class TestExtendedCorollaMatchesCollapse:
 class TestClassify:
     def test_level_membership(self):
         t3 = reduced_corolla(3)
-        assert in_omega_level(t3, 3)
-        assert not in_omega_level(t3, 2)
+        level = classify(t3)["min_omega_level"]
+        assert oracles.in_omega_level(t3, level)
+        assert not oracles.in_omega_level(t3, level - 1)
         assert is_reduced(t3)
 
     def test_single_edge_not_reduced(self):

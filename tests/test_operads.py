@@ -449,7 +449,7 @@ class TestFreeOperad:
             return el
 
         C = Collection(levels={2: ("a", "b")}, action=swap_action)
-        assert C.check_action() == []
+        assert oracles.collection_action_violations(C) == []
         F = free_operad(C, 3)
         sig = Signature(("x", "x"), "x")
         images = {}

@@ -11,7 +11,6 @@ from dendrokit.trees import (
     Tree,
     aut_order,
     automorphisms,
-    canonical_form,
     canonicalize_node,
     corolla,
     enumerate_trees,
@@ -85,8 +84,8 @@ class TestCanonical:
     def test_idempotent(self):
         for term in ["*", "()", "(*(**))", "((()())())"]:
             t = parse_tree(term)
-            assert canonical_form(t) == t
-            assert canonical_form(canonical_form(t)) == t
+            assert oracles.canonical_form(t) == t
+            assert oracles.canonical_form(oracles.canonical_form(t)) == t
 
     def test_all_leaf_orderings_one_key(self):
         keys = {
@@ -350,4 +349,4 @@ def test_parse_format_round_trip(term):
     again = parse_tree(t.term)
     assert again == t
     assert again.key == t.key
-    assert aut_order(canonical_form(t)) == aut_order(t)
+    assert aut_order(oracles.canonical_form(t)) == aut_order(t)
