@@ -18,12 +18,11 @@ from functools import update_wrapper
 import click
 
 from . import connectivity as conn
-from . import dendroidal as dnd
 from . import morphisms as mor
 from . import strata
 from . import trees as tr
 from .errors import DendroError, DomainError
-from .fixtures import bundled_trees, load_dendroidal, load_operad
+from .fixtures import bundled_trees, load_dendroidal, load_operad, parse_json
 from .operads import Collection, TableOperad, check_operad_axioms, free_operad
 
 
@@ -45,13 +44,6 @@ def read_text(path):
     except OSError as err:
         reason = err.strerror or str(err)
         raise DomainError("cannot read input file", {"path": path, "reason": reason})
-
-
-def parse_json(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DomainError("malformed JSON", {"reason": err.msg, "position": err.pos})
 
 
 def handle_domain_errors(fn):
@@ -293,11 +285,13 @@ def _carrier(operad_obj, max_vertices, max_inputs, terms):
 @handle_domain_errors
 def nerve(operad_spec, terms, max_vertices, max_inputs, counts_only):
     """The dendroidal nerve of an operad on a finite carrier (JSON)."""
+    from . import dendroidal as dnd  # the dendroidal commands alone load numpy
+
     P = load_operad(operad_spec)
     carrier = _carrier(P, max_vertices, max_inputs, terms)
     X = dnd.nerve(P, trees=carrier)
     if counts_only:
-        counts = {t.key: sum(size for *_, size in X.value_blocks(t)) for t in carrier}
+        counts = {t.key: X.size(t) for t in carrier}
         emit_json({"operad": P.name, "values": counts})
         return
     table = dnd.materialize(X, carrier)
@@ -313,6 +307,8 @@ def nerve(operad_spec, terms, max_vertices, max_inputs, counts_only):
 @handle_domain_errors
 def segal_check(operad_spec, dendroidal_spec, terms, max_vertices, max_inputs):
     """Exact strict-Segal check: values against core families, every tree."""
+    from . import dendroidal as dnd
+
     if (operad_spec is None) == (dendroidal_spec is None):
         raise click.UsageError("give exactly one of --operad / --dendroidal")
     if operad_spec:
@@ -338,6 +334,8 @@ def segal_check(operad_spec, dendroidal_spec, terms, max_vertices, max_inputs):
 @handle_domain_errors
 def reconstruct(operad_spec, dendroidal_spec, arity_bound, round_trip):
     """Reconstruct an operad from a strict-Segal dendroidal set."""
+    from . import dendroidal as dnd
+
     if (operad_spec is None) == (dendroidal_spec is None):
         raise click.UsageError("give exactly one of --operad / --dendroidal")
     if operad_spec:

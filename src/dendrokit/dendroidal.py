@@ -1,37 +1,34 @@
 """Truncated dendroidal sets: presheaves on a finite batch of trees.
 
 A dendroidal set assigns a finite value set to every tree in its carrier and
-a restriction function to every tree map, contravariantly.  Two storage
-strategies are provided:
+a restriction to every tree map, contravariantly.  Both kinds of set give it
+in one form: ``restrict_index(m)`` is a :class:`Restriction`, an int64 array
+sending every value position at ``m.target`` to the position of that
+value's restriction at ``m.source``; ``size(t)`` counts the values at ``t``.
 
-- :class:`NerveDendroidalSet` is the nerve of a finite operad: the value at a
-  tree is the set of operad maps out of the tree's operad (a color per edge
-  plus an operation per vertex).  A restriction compiles each vertex's
-  operation witness, once per coloring of the target, into a flat program of
-  decoration picks, identities, compositions and permutations, and runs it
-  on every value.  Values are computed on demand for every tree within the
-  operad's arity bound and never cached.
+- :class:`NerveDendroidalSet` is the nerve of a finite operad: a value is a
+  color per edge and an operation per vertex, laid out in blocks, one per
+  edge coloring, each the product of its vertices' hom-sets.  A restriction
+  evaluates the operation witness of each source vertex on whole blocks of
+  the target: a decoration is a digit column of the value position, an
+  identity a constant, and a composition or permutation one operad call
+  per distinct row of its operands.  Values are computed on demand and
+  never cached.
 - :class:`TableDendroidalSet` stores explicit value sets and generator
-  actions (elementary faces, degeneracies, automorphisms); restrictions along
-  arbitrary maps are derived by factorization.
+  actions (elementary faces, degeneracies, automorphisms); along any other
+  map the actions of its factorization are composed as gathers.
 
-On top of these sit the corolla boundary tables of the Segal core, the
-exact strict-Segal bijection check, and the reconstruction of an operad
-from any strict-Segal dendroidal set, with its isomorphism to the operad
-checked on both operads' integer tables in `dendrokit.laws`.
-
-The strict-Segal check and the reconstruction read the Segal core the same
-way, and neither hashes value tuples.  Per corolla arity, a boundary table
-holds the ids of each corolla value's root and leaf restrictions.  Per
-vertex of a tree, an index column holds the position among the corolla's
-values of each value's restriction to that vertex.  Nerves compute the
-columns in closed form from their value order; table sets restrict value by
-value.  The check tests image inside the core as an equality of boundary
-ids per inner edge and injectivity as `np.unique` on mixed-radix keys of
-the columns, and counts the core by dynamic programming over the vertex
-tree.  Reconstruction groups corolla values by their boundary ids into hom
-sets, and inverts the Segal bijection on a grafted tree by indexing its
-values by their columns.
+The strict-Segal check and the reconstruction of an operad read
+restrictions only as positions and hash no value tuples; materialization
+decodes them into a table set's stored actions.  Per corolla
+arity, a boundary table holds the one-edge ids of each corolla value's root
+and leaf restrictions; per vertex of a tree, a column holds the position at
+the corolla of each value's restriction there.  The check compares boundary
+ids per inner edge, tests injectivity with `np.unique` on mixed-radix keys
+of the columns, and counts the core by dynamic programming over the vertex
+tree.  Reconstruction groups corolla values by boundary ids into hom-sets
+and inverts the Segal bijection on a grafted tree through its values'
+positions; its isomorphism to the operad is checked in `dendrokit.laws`.
 """
 
 from __future__ import annotations
@@ -39,10 +36,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, charge
+from .errors import DendroError, DomainError, charge
 from .morphisms import (
     OmegaMorphism,
     degeneracies,
@@ -51,7 +49,7 @@ from .morphisms import (
     factorize,
     operation_exists,
 )
-from .operads import FiniteOperad, Signature, perm_inverse
+from .operads import FiniteOperad, Signature
 from .trees import (
     Tree,
     automorphisms,
@@ -108,7 +106,88 @@ def grafted_two_level_tree(child_arities):
     return Tree(canon, _canonical=True), cmap
 
 
+# -- restrictions as positions ---------------------------------------------------
+
+
+class Restriction(NamedTuple):
+    """``index[i]`` is the id of the restriction of value i at the target:
+    below `size` a position at the source, ``size + j`` the value
+    ``outside[j]`` that the source does not hold, and ``-1 - j`` the error
+    ``errors[j]`` raised by that value's first failing call or lookup."""
+
+    index: np.ndarray
+    size: int
+    outside: list
+    errors: list
+
+    def decode(self, p, source_values):
+        """The restricted value of id `p`; an error id raises its error."""
+        if p < 0:
+            raise self.errors[-1 - p]
+        return source_values[p] if p < self.size else self.outside[p - self.size]
+
+    def decoded(self, source_values):
+        """Every target value's restriction, in position order."""
+        return [self.decode(p, source_values) for p in self.index.tolist()]
+
+
+def _raise_first_error(restrictions):
+    """Raise the error of the first failed id, row by row across
+    restrictions of the same values."""
+    if not any(r.errors for r in restrictions):
+        return
+    ids = np.stack([r.index for r in restrictions], axis=1)
+    failed = np.flatnonzero(ids.ravel() < 0)
+    if failed.size:
+        i, j = divmod(int(failed[0]), len(restrictions))
+        raise restrictions[j].errors[-1 - int(ids[i, j])]
+
+
+def _row_keys(columns, radices, n):
+    """The rows of n stacked int columns as mixed-radix int64 keys, or as
+    the stacked rows themselves when a key could overflow."""
+    if math.prod(radices) >= 2**63:
+        return np.stack(columns, axis=1)
+    key = np.zeros(n, dtype=np.int64)
+    for column, radix in zip(columns, radices):
+        key = key * radix + column
+    return key
+
+
+def _distinct_rows(columns, radices, n):
+    """The first of each distinct row of n stacked int columns, and every
+    row's index among the distinct rows."""
+    if n < 2:
+        return np.arange(n), np.zeros(n, dtype=np.int64)
+    keys = _row_keys(columns, radices, n)
+    _, first, inverse = np.unique(
+        keys, axis=0 if keys.ndim > 1 else None, return_index=True, return_inverse=True
+    )
+    return first, inverse.reshape(-1)
+
+
+def _strides(pools):
+    """Per vertex, the distance between values differing only there."""
+    return [math.prod(map(len, pools[i + 1 :])) for i in range(len(pools))]
+
+
+def _expand(ids, table, n):
+    """``table[ids]`` for an id column of n values, or for a digit column
+    (radix, stride): the digit of each position in that mixed radix."""
+    if type(ids) is not tuple:
+        return table[ids]
+    radix, stride = ids
+    out = np.empty((n // (radix * stride), radix, stride), dtype=table.dtype)
+    out[...] = table[:, None]
+    return out.reshape(-1)
+
+
 # -- nerve ---------------------------------------------------------------------
+
+# Trees whose value blocks a nerve keeps, the least recently met going
+# first: the restrictions along the maps of one tree run back to back, and
+# a materialized carrier of up to this many trees is laid out once.
+_BLOCKS_KEPT = 128
 
 
 class NerveDendroidalSet:
@@ -117,13 +196,15 @@ class NerveDendroidalSet:
     Elements at a tree T are pairs (edge colors, vertex operations) indexed
     by T's canonical edge and vertex orders.  The value at any tree within
     the operad's arity bound is available; `trees` only fixes the default
-    carrier used by checks.
+    carrier used by checks.  It keeps the value blocks of the trees it met
+    last and the layout of every tree restricted to.
     """
 
     def __init__(self, operad: FiniteOperad, trees=None, budget=None):
         self.operad = operad
         self.trees = tuple(trees) if trees is not None else None
         self.budget = budget
+        self._blocks, self._layouts = {}, {}
 
     @property
     def name(self):
@@ -137,11 +218,17 @@ class NerveDendroidalSet:
                 out.append((colors, decs))
         return tuple(out)
 
+    def size(self, t: Tree):
+        return sum(size for *_, size in self.value_blocks(t))
+
     def value_blocks(self, t: Tree):
         """The values at `t` in blocks, one per edge coloring in value order:
         (coloring, hom pool at each vertex, block size).  Within a block the
         values are the product of the pools, the last vertex varying
         fastest."""
+        if t in self._blocks:
+            self._blocks[t] = self._blocks.pop(t)  # the latest met go last
+            return self._blocks[t]
         P = self.operad
         if P.arity_bound is not None:
             max_in = max((len(t.children(v)) for v in t.vertices), default=0)
@@ -161,35 +248,10 @@ class NerveDendroidalSet:
             total += size
             charge("nerve values", total, self.budget)
             blocks.append((coloring, pools, size))
+        if len(self._blocks) == _BLOCKS_KEPT:
+            del self._blocks[next(iter(self._blocks))]
+        self._blocks[t] = blocks
         return blocks
-
-    def corolla_columns(self, t: Tree, index, blocks=None):
-        """Per vertex v of `t`, the index array sending value i at `t` to the
-        index of its restriction to the subcorolla at v, where ``index[k]``
-        is the index of every k-corolla value (`corolla_values`).
-
-        No value tuple is built: the restriction keeps v's own decoration,
-        which is the digit ``(i // stride_v) % radix_v`` of i's position in
-        its coloring block, read through v's hom pool.
-        """
-        if blocks is None:
-            blocks = self.value_blocks(t)
-        verts = t.vertices
-        arities = [len(t.children(v)) for v in verts]
-        columns = [[] for _ in verts]
-        for coloring, pools, size in blocks:
-            if not size:
-                continue
-            stride = size
-            for vi, v in enumerate(verts):
-                pool = pools[vi]
-                stride //= len(pool)
-                colors = (coloring[v],) + tuple(coloring[c] for c in t.children(v))
-                ids = index[arities[vi]]
-                lookup = np.array([ids[(colors, (el,))] for el in pool], dtype=np.int64)
-                digits = np.repeat(lookup, stride)
-                columns[vi].append(np.tile(digits, size // len(digits)))
-        return [np.concatenate(c) if c else np.zeros(0, np.int64) for c in columns]
 
     def _colorings(self, t: Tree):
         P = self.operad
@@ -219,50 +281,65 @@ class NerveDendroidalSet:
             charge("nerve colorings", len(colorings), self.budget)
         return colorings
 
-    def restrict(self, m: OmegaMorphism):
-        """The contravariant action: a function values(target) -> values(source).
+    def _layout(self, t: Tree):
+        """Per coloring of `t` (its colors in edge order): the offset of its
+        block, each vertex's pool as {element: position} and the vertex
+        strides; and the value count.  Beyond the arity bound: no values."""
+        if t not in self._layouts:
+            try:
+                blocks = self.value_blocks(t)
+            except DomainError:
+                blocks = []
+            layout, size = {}, 0
+            for coloring, pools, n in blocks:
+                where = [{el: i for i, el in enumerate(pool)} for pool in pools]
+                layout[tuple(coloring[e] for e in t.edges)] = (size, where, _strides(pools))
+                size += n
+            self._layouts[t] = layout, size
+        return self._layouts[t]
 
-        Every witness is compiled, once per coloring of the target, into a
-        post-order program that makes the operad calls of evaluating the
-        witness recursively, with the same arguments and in the same order;
-        by the unit law a vertex with identity inputs in order is a pick of
-        its decoration, not a composition.
-        """
+    def restrict_index(self, m: OmegaMorphism) -> Restriction:
+        """The contravariant action along `m`: per coloring of the target,
+        the witnesses of the source vertices run on its whole block
+        (`_run_block`) and each result is placed by its coloring and
+        decorations at the source.  A result no source block holds, such as
+        a composite outside its hom-set, is an outside value."""
         source, target = m.source, m.target
-        edge_pos = {e: i for i, e in enumerate(target.edges)}
-        vertex_pos = {v: i for i, v in enumerate(target.vertices)}
-        color_plan = tuple(edge_pos[m(e)] for e in source.edges)
         witnesses = [
             operation_exists(target, m(v), tuple(m(c) for c in source.children(v)))
             for v in source.vertices
         ]
-        P = self.operad
-        programs = {}
-
-        def act(element):
-            colors, decs = element
-            program = programs.get(colors)
-            if program is None:
-                program = programs[colors] = _compile_restriction(
-                    witnesses, target, colors, edge_pos, vertex_pos
-                )
-            stack = []
-            for op, arg, sig, n, child_sigs, perm, concat_sig in program:
-                if op is _PICK:
-                    stack.append(decs[arg])
-                elif op is _IDENTITY:
-                    stack.append(P.identity(arg))
+        images = [m(e) for e in source.edges]
+        layout, size = self._layout(source)
+        outside, errors, columns = {}, [], []
+        for coloring, pools, n in self.value_blocks(target):
+            if not n:
+                continue
+            known = len(errors)
+            decorations, failed = _run_block(self.operad, witnesses, target, coloring, pools, errors)
+            source_colors = tuple(coloring[e] for e in images)
+            # a decoration or coloring the source does not hold adds `size`
+            offset, where, strides = layout.get(source_colors, (size, (), ()))
+            ids = np.full(n, offset, dtype=np.int64) if not where else None
+            unheld = source_colors not in layout or len(errors) > known
+            for (column, els), found, stride in zip(decorations, where, strides):
+                lookup = [found.get(el, size) for el in els]
+                unheld = unheld or size in lookup
+                lookup = np.array(lookup, dtype=np.int64) * stride
+                if ids is None:
+                    ids = _expand(column, lookup + offset, n)
                 else:
-                    k = len(stack) - n
-                    children = stack[k:]
-                    del stack[k:]
-                    el = P.compose(decs[arg], sig, children, list(child_sigs))
-                    if perm is not None:
-                        el = P.sigma(el, concat_sig, perm)
-                    stack.append(el)
-            return (tuple([colors[i] for i in color_plan]), tuple(stack))
-
-        return act
+                    ids += _expand(column, lookup, n)
+            if len(errors) > known:
+                ids = np.where(failed < 0, failed, ids)
+            if unheld:
+                at = [_expand(column, np.arange(len(els)), n) for column, els in decorations]
+                for i in np.flatnonzero(ids >= size).tolist():
+                    decs = tuple(els[c[i]] for c, (_, els) in zip(at, decorations))
+                    ids[i] = size + outside.setdefault((source_colors, decs), len(outside))
+            columns.append(ids)
+        index = np.concatenate(columns) if len(columns) > 1 else (columns or [np.zeros(0, np.int64)])[0]
+        return Restriction(index, size, list(outside), errors)
 
     def element_str(self, t: Tree, element):
         colors, decs = element
@@ -273,48 +350,65 @@ class NerveDendroidalSet:
         return ";".join(parts) if parts else "*"
 
 
-# restriction program steps: (op, arg, sig, n, child_sigs, perm, concat_sig)
-_PICK, _IDENTITY, _COMPOSE = "pick", "identity", "compose"
+def _run_block(P, witnesses, target, coloring, pools, errors):
+    """Evaluate `witnesses` on every value of one coloring block of `target`.
 
+    A column is (ids, elements), ``elements[ids[i]]`` for value i.  A
+    vertex's decoration is a digit column (radix, stride) of the value's
+    position in the block, and by the unit law it is the whole operation of
+    a witness with identity inputs in order.  Every other witness makes the
+    operad calls of evaluating it recursively, each one call per distinct
+    row of its operands among the values not yet failed.  Returns one column
+    per witness and each value's error id (0 for none; None before a call).
+    """
+    n = math.prod(map(len, pools))
+    digits = dict(zip(target.vertices, zip(pools, _strides(pools))))
+    failed = None
 
-def _is_vertex_pick(w):
-    """Whether the witness is one vertex with identity inputs in order."""
-    return (
-        not w.is_identity
-        and all(c.is_identity for c in w.children)
-        and w.perm == tuple(range(len(w.perm)))
-    )
+    def call(fn, operands):
+        nonlocal failed
+        if failed is None:
+            failed = np.zeros(n, dtype=np.int64)
+        live = np.flatnonzero(failed == 0)
+        columns = [_expand(ids, np.arange(len(els)), n)[live] for ids, els in operands]
+        first, inverse = _distinct_rows(columns, [len(els) for _, els in operands], len(live))
+        args = [[els[i] for i in c[first].tolist()] for c, (_, els) in zip(columns, operands)]
+        results, raised = [], np.zeros(len(first), dtype=np.int64)
+        for r in range(len(first)):
+            try:
+                results.append(fn(*[column[r] for column in args]))
+            except DendroError as err:
+                errors.append(err)
+                raised[r] = -len(errors)
+                results.append(None)
+        ids = np.zeros(n, dtype=np.int64)
+        ids[live] = inverse
+        failed[live] = raised[inverse]
+        return ids, results
 
-
-def _compile_restriction(witnesses, target, colors, edge_pos, vertex_pos):
-    """The post-order program evaluating `witnesses` in turn on the target
-    decorations, at the coloring `colors` of `target`."""
-    program = []
-
-    def emit(w):
-        # append the steps evaluating `w` and return its signature
-        out = colors[edge_pos[w.output]]
+    def evaluate(w):
+        # the column of the operation of `w`, and its signature
+        out = coloring[w.output]
         if w.is_identity:
-            program.append((_IDENTITY, out, None, 0, None, None, None))
-            return Signature((out,), out)
-        kids = target.children(w.output)
-        parent_sig = Signature(tuple(colors[edge_pos[c]] for c in kids), out)
-        vi = vertex_pos[w.output]
-        if _is_vertex_pick(w):
-            program.append((_PICK, vi, None, 0, None, None, None))
-            return parent_sig
-        child_sigs = tuple(emit(c) for c in w.children)
-        concat = tuple(c for s in child_sigs for c in s.inputs)
-        sig = Signature(concat, out)
-        perm = None if w.perm == tuple(range(len(w.perm))) else w.perm
-        program.append((_COMPOSE, vi, parent_sig, len(child_sigs), child_sigs, perm, sig))
-        if perm is None:
-            return sig
-        return Signature(tuple(concat[i] for i in perm), out)
+            return call(lambda: P.identity(out), []), Signature((out,), out)
+        pool, stride = digits[w.output]
+        decoration = (len(pool), stride), pool
+        parent_sig = Signature(tuple(coloring[c] for c in target.children(w.output)), out)
+        in_order = w.perm == tuple(range(len(w.perm)))
+        if in_order and all(c.is_identity for c in w.children):
+            return decoration, parent_sig
+        children = [evaluate(c) for c in w.children]
+        child_sigs = [sig for _, sig in children]
+        inputs = tuple(c for s in child_sigs for c in s.inputs)
 
-    for w in witnesses:
-        emit(w)
-    return tuple(program)
+        def compose(parent, *kids):
+            el = P.compose(parent, parent_sig, list(kids), list(child_sigs))
+            return el if in_order else P.sigma(el, Signature(inputs, out), w.perm)
+
+        column = call(compose, [decoration] + [column for column, _ in children])
+        return column, Signature(tuple(inputs[i] for i in w.perm), out)
+
+    return [evaluate(w)[0] for w in witnesses], failed
 
 
 def nerve(operad: FiniteOperad, trees=None, budget=None) -> NerveDendroidalSet:
@@ -354,57 +448,46 @@ class TableDendroidalSet:
         except KeyError:
             raise DomainError("tree not in carrier", {"tree": t.term})
 
-    def restrict(self, m: OmegaMorphism):
-        key = morphism_key(m)
-        if key in self._actions:
-            return self._lookup(m, self._actions[key])
-        if m.source == m.target and m.is_isomorphism() and all(
-            m(e) == e for e in m.source.edges
-        ):
-            return lambda el: el
-        # derive from generators
-        fact = factorize(m)
-        steps = []
-        for sigma in fact.degeneracies:
-            steps.append(sigma)
-        steps.append(fact.isomorphism)
-        steps.extend(f.morphism for f in fact.faces)
-        actions = []
-        for step in steps:
-            skey = morphism_key(step)
-            if all(step(e) == e for e in step.source.edges) and step.source == step.target:
-                actions.append(lambda el: el)
-            elif skey in self._actions:
-                actions.append(self._lookup(step, self._actions[skey]))
-            else:
-                raise DomainError(
-                    "missing generator action",
-                    {"morphism": step.to_json()},
-                )
+    def size(self, t: Tree):
+        return len(self.values(t))
 
-        def act(element):
-            # contravariant: the last applied map acts first
-            for fn in reversed(actions):
-                element = fn(element)
-            return element
-
-        return act
-
-    @staticmethod
-    def _lookup(m: OmegaMorphism, table):
-        """The stored action along `m`; a value it has no entry for raises
-        DomainError naming the morphism and the value."""
-
-        def act(el):
-            try:
-                return table[el]
-            except KeyError:
-                raise DomainError(
-                    "stored action has no entry for value",
-                    {"morphism": m.to_json(), "value": str(el)},
-                ) from None
-
-        return act
+    def restrict_index(self, m: OmegaMorphism) -> Restriction:
+        """The contravariant action along `m`: its stored action, or those of
+        the non-identity steps of its factorization, the last applied acting
+        first.  Each acts on the distinct values its predecessor produced,
+        and the target values' ids are gathered through it.  A value an
+        action has no entry for fails; a result the source does not hold is
+        an outside value; a target outside the carrier has no values."""
+        generators = [m]
+        if morphism_key(m) not in self._actions:
+            fact = factorize(m)
+            steps = [*fact.degeneracies, fact.isomorphism, *(f.morphism for f in fact.faces)]
+            generators = [
+                s for s in steps if s.source != s.target or any(s(e) != e for e in s.source.edges)
+            ]
+            for step in generators:
+                if morphism_key(step) not in self._actions:
+                    raise DomainError("missing generator action", {"morphism": step.to_json()})
+        pool, errors = {}, []
+        ids = [pool.setdefault(el, len(pool)) for el in self._values.get(m.target, ())]
+        ids = np.array(ids, dtype=np.int64)
+        for g in reversed(generators):
+            table, images, remap = self._actions[morphism_key(g)], {}, []
+            for el in pool:
+                if el in table:
+                    remap.append(images.setdefault(table[el], len(images)))
+                else:
+                    detail = {"morphism": g.to_json(), "value": str(el)}
+                    errors.append(DomainError("stored action has no entry for value", detail))
+                    remap.append(-len(errors))
+            ids, pool = _gather(ids, remap), images
+        held = self._values.get(m.source, ())
+        first = {}
+        for p, el in enumerate(held):
+            first.setdefault(el, p)
+        outside = [el for el in pool if el not in first]
+        first.update((el, len(held) + j) for j, el in enumerate(outside))
+        return Restriction(_gather(ids, [first[el] for el in pool]), len(held), outside, errors)
 
     def element_str(self, t: Tree, element):
         return str(element)
@@ -455,6 +538,14 @@ class TableDendroidalSet:
         return cls(trees, values, actions, name=name)
 
 
+def _gather(ids, table):
+    """`ids` read through `table`, error ids (negative) kept."""
+    out = ids.copy()
+    ok = ids >= 0
+    out[ok] = np.asarray(table, dtype=np.int64)[ids[ok]]
+    return out
+
+
 def carrier_closure(seeds, budget=None):
     """Close a batch of trees under elementary-face sources and degeneracy
     targets; returns a deterministic list."""
@@ -484,8 +575,8 @@ def materialize(X: NerveDendroidalSet, trees, name=None):
     actions = {}
 
     def store(m):
-        fn = X.restrict(m)
-        actions[morphism_key(m)] = {el: fn(el) for el in values[m.target]}
+        restricted = X.restrict_index(m).decoded(values[m.source])
+        actions[morphism_key(m)] = dict(zip(values[m.target], restricted))
 
     for t in trees:
         for face in elementary_faces(t):
@@ -503,17 +594,11 @@ def materialize(X: NerveDendroidalSet, trees, name=None):
 # -- Segal cores ------------------------------------------------------------------
 
 
-def corolla_values(X, k):
-    """The distinct values at the k-corolla in first-occurrence order, and
-    the index of each; the Segal check's columns refer to these indices."""
-    values = tuple(dict.fromkeys(X.values(corolla(k))))
-    return values, {el: i for i, el in enumerate(values)}
-
-
-@dataclass
-class CorollaBoundary:
-    """The k-corolla's values with their one-edge restrictions as ids:
-    `root[j]` and `leaves[j, slot]` for corolla value j."""
+class CorollaBoundary(NamedTuple):
+    """The k-corolla's values by position, the first position of each value
+    (`index`; its values are the distinct positions), and the one-edge ids
+    of each position's root and leaf restrictions: `root[p]` and
+    `leaves[p, slot]`."""
 
     values: tuple
     index: dict
@@ -521,22 +606,24 @@ class CorollaBoundary:
     leaves: np.ndarray
 
 
-def _corolla_boundary(X, k, edge_ids):
-    """Boundary arrays of the k-corolla; one-edge values are interned into
-    `edge_ids`, shared across arities so that ids compare across corollas."""
+def _corolla_boundary(X, k, strays):
+    """Boundary arrays of the k-corolla.  One-edge ids are positions at the
+    one-edge tree; a value it does not hold gets an id past them through
+    `strays`, shared across arities so that equal values compare equal."""
     tk = corolla(k)
-    root_r = X.restrict(edge_inclusion(tk, ()))
-    leaf_r = [X.restrict(edge_inclusion(tk, (i,))) for i in range(k)]
-    values, index = corolla_values(X, k)
-
-    def ids(restricted):
-        return [edge_ids.setdefault(y, len(edge_ids)) for y in restricted]
-
-    root = np.array(ids(root_r(el) for el in values), dtype=np.int64)
-    leaves = np.array(
-        [ids(r(el) for r in leaf_r) for el in values], dtype=np.int64
-    ).reshape(len(values), k)
-    return CorollaBoundary(values, index, root, leaves)
+    edges = [X.restrict_index(edge_inclusion(tk, e)) for e in [()] + [(i,) for i in range(k)]]
+    values = X.values(tk)
+    index = {}
+    for p, el in enumerate(values):
+        index.setdefault(el, p)
+    _raise_first_error(edges[:1])
+    if k:
+        _raise_first_error(edges[1:])
+    ids = np.stack([r.index for r in edges], axis=1)
+    for slot, r in enumerate(edges):
+        for p in np.flatnonzero(r.index >= r.size).tolist():
+            ids[p, slot] = r.size + strays.setdefault(r.outside[r.index[p] - r.size], len(strays))
+    return CorollaBoundary(values, index, ids[:, 0], ids[:, 1:])
 
 
 @dataclass
@@ -571,8 +658,9 @@ def _core_count(t: Tree, boundary):
             (slot, vert_pos[c]) for slot, c in enumerate(kids) if not t.is_leaf(c)
         ]
         b = boundary[len(kids)]
+        distinct = list(b.index.values())
         acc = {}
-        for root_val, leaf_vals in zip(b.root.tolist(), b.leaves.tolist()):
+        for root_val, leaf_vals in zip(b.root[distinct].tolist(), b.leaves[distinct].tolist()):
             ways = 1
             for slot, ci in links:
                 ways *= counts[ci].get(leaf_vals[slot], 0)
@@ -584,44 +672,28 @@ def _core_count(t: Tree, boundary):
     return sum(counts[0].values())
 
 
-def _value_columns(X, t: Tree, boundary, budget):
+def _value_columns(X, t: Tree, budget):
     """Charge the check for the values at `t` and return their corolla
-    columns: per vertex, the index of each value's restriction to the
-    subcorolla there.  Nerves compute them in closed form; any other
-    dendroidal set restricts value by value."""
-    if isinstance(X, NerveDendroidalSet):
-        blocks = X.value_blocks(t)
-        charge("segal check values", sum(size for *_, size in blocks), budget)
-        return X.corolla_columns(t, {k: b.index for k, b in boundary.items()}, blocks)
-    values = X.values(t)
-    charge("segal check values", len(values), budget)
-    restrictors = [X.restrict(subcorolla_inclusion(t, v)) for v in t.vertices]
-    columns = []
-    for v, r in zip(t.vertices, restrictors):
-        k = len(t.children(v))
-        restricted = [r(x) for x in values]
-        index = boundary[k].index
-        for y in restricted:
-            if y not in index:
-                raise DomainError(
-                    "restriction is not a corolla value",
-                    {"tree": corolla(k).term, "value": str(y)},
-                )
-        columns.append(np.array([index[y] for y in restricted], dtype=np.int64))
-    return columns
+    columns: per vertex, the position at the corolla of each value's
+    restriction to the subcorolla there."""
+    charge("segal check values", X.size(t), budget)
+    restrictions = [X.restrict_index(subcorolla_inclusion(t, v)) for v in t.vertices]
+    for v, r in zip(t.vertices, restrictions):
+        _raise_first_error([r])
+        if r.outside:
+            value = r.outside[r.index[np.flatnonzero(r.index >= r.size)[0]] - r.size]
+            raise DomainError(
+                "restriction is not a corolla value",
+                {"tree": corolla(len(t.children(v))).term, "value": str(value)},
+            )
+    return [r.index for r in restrictions]
 
 
 def _first_repeat(columns, radices):
-    """The first row of the stacked columns equal to an earlier row, or None.
-    Rows are keyed as mixed-radix int64 numbers unless that could overflow."""
+    """The first row of the stacked columns equal to an earlier row, or None."""
     n = len(columns[0])
-    if math.prod(radices) < 2**63:
-        key = np.zeros(n, dtype=np.int64)
-        for column, radix in zip(columns, radices):
-            key = key * radix + column
-        _, first = np.unique(key, return_index=True)
-    else:
-        _, first = np.unique(np.stack(columns, axis=1), axis=0, return_index=True)
+    keys = _row_keys(columns, radices, n)
+    _, first = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
     if len(first) == n:
         return None
     repeated = np.ones(n, dtype=bool)
@@ -673,21 +745,16 @@ def _segal_failure(t: Tree, columns, boundary):
 def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
     """Exact bijectivity of the value-to-core map at every carrier tree.
 
-    The map is computed on index arrays, not on value tuples: for each
-    vertex v of a tree T, a column holds the index of every value's
-    restriction to the subcorolla at v, and per corolla arity the boundary
-    arrays hold the ids of each corolla value's root and leaf restrictions.
-    Image inside the core is one array equality per inner edge, injectivity
-    is `np.unique` on mixed-radix keys of the columns, and the core is
-    counted by dynamic programming over the vertex tree; an injective map
-    into the core with as many values as core families is a bijection.
+    The map is computed on index arrays, not on value tuples (see the module
+    docstring); an injective map into the core with as many values as core
+    families is a bijection.
     """
     if trees is None:
         trees = X.trees
     if trees is None:
         raise DomainError("no carrier given for the Segal check")
     report = SegalReport(getattr(X, "name", "dendroidal set"))
-    boundary, edge_ids = {}, {}
+    boundary, strays = {}, {}
     for t in trees:
         try:
             report.checked.append(t.term)
@@ -697,8 +764,8 @@ def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
                 continue
             for k in set(len(t.children(v)) for v in t.vertices):
                 if k not in boundary:
-                    boundary[k] = _corolla_boundary(X, k, edge_ids)
-            columns = _value_columns(X, t, boundary, budget)
+                    boundary[k] = _corolla_boundary(X, k, strays)
+            columns = _value_columns(X, t, budget)
             failure = _segal_failure(t, columns, boundary)
             if failure is not None:
                 report.failures.append(failure)
@@ -716,10 +783,10 @@ class ReconstructedOperad(FiniteOperad):
     """The operad carried by a strict-Segal dendroidal set.
 
     Colors are the values at the one-edge tree; arity-n operations are the
-    values at the n-corolla grouped by the ids of their edge restrictions in
-    the Segal boundary table; composition inverts the Segal bijection on a
-    two-level grafted tree, whose values are indexed by their Segal columns,
-    and restricts along the full-corolla map; identities are degeneracy
+    values at the n-corolla grouped by the one-edge ids of their edge
+    restrictions; composition finds the value of a two-level grafted tree
+    whose restrictions to the root and slot corollas are the given family,
+    and reads its full-corolla restriction; identities are degeneracy
     images.
     """
 
@@ -730,16 +797,18 @@ class ReconstructedOperad(FiniteOperad):
         self.arity_bound = arity_bound
         self.budget = budget
         self.colors = tuple(X.values(ETA))
-        self._boundary, self._edge_ids = {}, {}
+        self._color_ids = {}
+        for p, c in enumerate(self.colors):
+            self._color_ids.setdefault(c, p)
+        self._boundary, self._strays = {}, {}
         self._homs = {}
         self._graft_plans = {}
-        self._graft_rows = {}
         self._sigma_acts = {}
         self._identities = None
 
     def _corolla(self, k):
         if k not in self._boundary:
-            self._boundary[k] = _corolla_boundary(self.X, k, self._edge_ids)
+            self._boundary[k] = _corolla_boundary(self.X, k, self._strays)
         return self._boundary[k]
 
     def hom(self, inputs, output):
@@ -747,78 +816,76 @@ class ReconstructedOperad(FiniteOperad):
         self.check_arity(n)
         if n not in self._homs:
             b = self._corolla(n)
+            distinct = list(b.index.values())
             groups = {}
-            for el, root, leaves in zip(b.values, b.root.tolist(), b.leaves.tolist()):
-                groups.setdefault((tuple(leaves), root), []).append(el)
+            for p, root, leaves in zip(distinct, b.root[distinct].tolist(), b.leaves[distinct].tolist()):
+                groups.setdefault((tuple(leaves), root), []).append(b.values[p])
             self._homs[n] = {key: tuple(els) for key, els in groups.items()}
-        ids = self._edge_ids
-        key = (tuple(ids.get(c) for c in inputs), ids.get(output))
-        return self._homs[n].get(key, ())
+        ids = self._color_ids
+        return self._homs[n].get((tuple(ids.get(c) for c in inputs), ids.get(output)), ())
 
     def identity(self, color):
         if self._identities is None:
-            sigma = degeneracy_at(corolla(1), ())
             # degeneracy: 1-corolla -> one-edge tree; its action makes identities
-            act = self.X.restrict(sigma)
-            self._identities = {c: act(c) for c in self.colors}
+            r = self.X.restrict_index(degeneracy_at(corolla(1), ()))
+            restricted = r.decoded(self.X.values(corolla(1)) if r.size else ())
+            self._identities = dict(zip(self.colors, restricted))
         return self._identities[color]
 
     def compose(self, parent, parent_sig, children, child_sigs):
         key = (parent_sig.arity, tuple(s.arity for s in child_sigs))
         if key not in self._graft_plans:
             self._graft_plans[key] = self._graft_plan(*key)
-        slot_order, total_r, rows = self._graft_plans[key]
-        family = (parent,) + tuple(children)
+        indexes, composites, total, values = self._graft_plans[key]
         try:
-            z = rows[tuple(ids[family[j]] for j, ids in slot_order)]
+            p = composites[tuple(index[el] for index, el in zip(indexes, (parent, *children)))]
         except KeyError:
             raise DomainError(
                 "no grafted element restricting to the given family; "
                 "the dendroidal set is not strict Segal on the grafted tree"
             )
-        return total_r(z)
+        return total.decode(p, values)
 
     def _graft_plan(self, n, arities):
-        """(slot order, full-corolla restriction, rows of the grafted tree).
-        The slot order lists, per vertex of the tree, the family member at it
-        and the table from that member to its column id.  Slot j is the
-        root's pos[j]-th input, so the parent, given in slot order, reaches
-        the root's column through a leaf relabelling.  The grafted tree's
-        values are read before the full-corolla restriction is derived, so
-        a tree outside a table set's carrier is named as such."""
+        """(the corolla index of each family member, the full-corolla id of
+        the grafted value of each family, that restriction, the values it
+        decodes against).  A grafted value's family is its restrictions to
+        the root corolla, leaf j at slot j, and to each slot's corolla.  The
+        grafted tree's values are counted first, so that a tree outside a
+        table set's carrier is named as such."""
         tree, cmap = grafted_two_level_tree(arities)
-        order = perm_inverse([cmap[(j,)][0] for j in range(n)])  # inverse of pos
-        b = self._corolla(n)
-        relabel = self.X.restrict(leaf_relabel_automorphism(n, order))
-        root_ids = {el: b.index.get(relabel(el), -1) for el in b.values}
-        slot_order = [(0, root_ids)]
-        slot_order.extend((1 + j, self._corolla(arities[j]).index) for j in order)
-        if tree not in self._graft_rows:
-            self._graft_rows[tree] = self._grafted_rows(tree)
-        leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
-        total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
-        total = OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
-        return slot_order, self.X.restrict(total), self._graft_rows[tree]
-
-    def _grafted_rows(self, tree):
-        """The values at a grafted tree keyed by their Segal columns' ids,
-        in vertex order."""
-        values = self.X.values(tree)
-        charge("reconstruction graft values", len(values), self.budget)
-        columns = _value_columns(self.X, tree, self._boundary, self.budget)
-        rows = dict(zip(zip(*(c.tolist() for c in columns)), values))
-        if len(rows) < len(values):
+        indexes = [self._corolla(k).index for k in (n, *arities)]
+        size = self.X.size(tree)
+        charge("reconstruction graft values", size, self.budget)
+        maps = [{(): ()} | {(j,): cmap[(j,)] for j in range(n)}]
+        for j, k in enumerate(arities):
+            maps.append({(): cmap[(j,)]} | {(i,): cmap[(j, i)] for i in range(k)})
+        family = [
+            self.X.restrict_index(OmegaMorphism(corolla(len(mp) - 1), tree, mp, _checked=True))
+            for mp in maps
+        ]
+        _raise_first_error(family)
+        keys = list(zip(*(r.index.tolist() for r in family)))
+        if len(set(keys)) < size:
             raise DomainError(
                 "grafted tree value restricts non-uniquely; "
                 "the dendroidal set is not strict Segal"
             )
-        return rows
+        leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
+        total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
+        m = OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
+        total = self.X.restrict_index(m)
+        values = self.X.values(m.source) if total.size else ()
+        return indexes, dict(zip(keys, total.index.tolist())), total, values
 
     def sigma(self, element, sig, perm):
         perm = tuple(perm)
+        b = self._corolla(len(perm))
         if perm not in self._sigma_acts:
-            self._sigma_acts[perm] = self.X.restrict(leaf_relabel_automorphism(len(perm), perm))
-        return self._sigma_acts[perm](element)
+            r = self.X.restrict_index(leaf_relabel_automorphism(len(perm), perm))
+            self._sigma_acts[perm] = r, r.index.tolist()
+        r, ids = self._sigma_acts[perm]
+        return r.decode(ids[b.index[element]], b.values)
 
     def element_str(self, element):
         return str(element)

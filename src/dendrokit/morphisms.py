@@ -104,6 +104,9 @@ def _op_exists(t, output, inputs):
     if len(set(inputs)) != len(inputs):
         return None
     kids = t.children(output)
+    if inputs == kids:  # the vertex itself, with its inputs in order
+        identities = tuple(OpWitness(k, (k,)) for k in kids)
+        return OpWitness(output, inputs, identities, tuple(range(len(kids))))
     buckets = {k: [] for k in kids}
     for e in inputs:
         for k in kids:

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-import numpy as np
-
 from .errors import DomainError, charge
 from .morphisms import shorten, subtrees
 from .trees import Tree, parse_tree, reduced_corolla
@@ -431,6 +429,8 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
+        import numpy as np  # here and below, so that importing the CLI loads no numpy
+
         try:
             pts = np.asarray(self.points, dtype=float)
         except (TypeError, ValueError):  # ragged rows or non-numbers
@@ -488,6 +488,8 @@ def fm_embed(config: Configuration) -> FMCoordinates:
     translation and a positive scaling share (a, b) coordinates exactly up to
     floating-point rounding.
     """
+    import numpy as np
+
     pts = config.points
     k = config.k
     a = {}
@@ -521,6 +523,8 @@ def fm_selftest(seed=0, trials=1000, k=4, ambient=3, tol_exact=1e-12, tol_gauge=
     scalings within `tol_gauge`, and that collision families along a line
     drive the relevant ratio monotonically to zero.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst_antisym = 0.0
     worst_recip = 0.0

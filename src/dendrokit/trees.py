@@ -46,6 +46,9 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 # once per level, so deeper terms would exhaust the interpreter's stack.
 MAX_TREE_DEPTH = 256
 
+# Trees kept by each cache of corollas, one per arity asked for.
+_CACHE_SIZE = 256
+
 
 def _node_term(node, with_labels=True):
     children, label = node
@@ -203,25 +206,25 @@ def _collect(node, addr, out):
 # -- construction helpers -----------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def leaf_tree():
     """The one-edge tree whose edge is a leaf (no vertices)."""
     return Tree((LEAF, None), _canonical=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def stump_tree():
     """The one-edge tree capped by a nullary vertex."""
     return Tree(((), None), _canonical=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def corolla(n):
     """One vertex, n leaf inputs and a root edge."""
     return Tree((tuple((LEAF, None) for _ in range(n)), None), _canonical=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def reduced_corolla(n):
     """One vertex of n inputs, each input capped by a stump; no leaves."""
     return Tree((tuple(((), None) for _ in range(n)), None), _canonical=True)

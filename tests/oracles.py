@@ -14,11 +14,15 @@ element once and compares whole instance grids as index arrays.  End
 operads are checked against substitution through `end_evaluate`.  The
 reference reconstruction restricts every value of a grafted tree to its
 root and slot subcorollas and hashes the family of value tuples; the
-library's reads the Segal check's boundary table and index columns.  The
+library's keys them by the positions of those restrictions.  Both reference
+checks restrict through `reference_restrict`, never through the library's
+`restrict_index`.  The
 reference nerve restriction evaluates every operation witness recursively
-per value; the library's runs programs compiled from the witnesses.  The
-reference table JSON writer orders entries by stringifying whole items; the
-library's orders them by the repr of their keys.  The reference Segal core
+per value; the library's evaluates the witnesses on whole columns of
+value positions.  The reference table restriction chains the stored
+generator actions value by value; the library's composes them as gathers.
+The reference table JSON writer orders entries by stringifying whole items;
+the library's orders them by the repr of their keys.  The reference Segal core
 lists every family of corolla values agreeing on shared edges; the library
 only counts them.  The reference stratification order is the transitive
 closure of single inner-edge contractions, found by walking each labelled
@@ -45,10 +49,11 @@ from functools import lru_cache
 from dendrokit.dendroidal import (
     ETA,
     IsomorphismWitness,
+    NerveDendroidalSet,
     SegalReport,
-    _corolla_boundary,
     edge_inclusion,
     leaf_relabel_automorphism,
+    morphism_key,
     subcorolla_inclusion,
 )
 from dendrokit.errors import BudgetExceeded, DomainError, charge, resolve_budget
@@ -61,6 +66,7 @@ from dendrokit.morphisms import (
     _input_sets,
     contract_inner_edge,
     degeneracy_at,
+    factorize,
     hom_set,
     is_reduced,
     operation_exists,
@@ -617,8 +623,8 @@ def _corolla_boundary_tables(X, arities):
         if k in tables:
             continue
         tk = corolla(k)
-        root_r = X.restrict(edge_inclusion(tk, ()))
-        leaf_r = [X.restrict(edge_inclusion(tk, (i,))) for i in range(k)]
+        root_r = reference_restrict(X, edge_inclusion(tk, ()))
+        leaf_r = [reference_restrict(X, edge_inclusion(tk, (i,))) for i in range(k)]
         tables[k] = {
             el: (root_r(el), tuple(r(el) for r in leaf_r)) for el in X.values(tk)
         }
@@ -657,20 +663,16 @@ def segal_core_hom(X, t: Tree, budget=None):
     verts = t.vertices
     if not verts:
         return tuple((v,) for v in X.values(t))
-    boundary, edge_ids = {}, {}
+    tables = _corolla_boundary_tables(X, [len(t.children(v)) for v in verts])
     families = [({}, ())]
     total = 1
     for v in verts:
-        k = len(t.children(v))
-        if k not in boundary:
-            boundary[k] = _corolla_boundary(X, k, edge_ids)
-        b = boundary[k]
         new = []
         for edge_vals, chosen in families:
-            for el, root_id, leaf_ids in zip(b.values, b.root.tolist(), b.leaves.tolist()):
+            for el, (root_val, leaf_vals) in tables[len(t.children(v))].items():
                 assignment = dict(edge_vals)
                 ok = True
-                for edge, val in [(v, root_id)] + list(zip(t.children(v), leaf_ids)):
+                for edge, val in [(v, root_val)] + list(zip(t.children(v), leaf_vals)):
                     if edge in assignment and assignment[edge] != val:
                         ok = False
                         break
@@ -715,7 +717,7 @@ def tuple_strict_segal(X, trees=None, budget=None) -> SegalReport:
                 for slot, c in enumerate(t.children(v))
                 if not t.is_leaf(c)
             ]
-            restrictors = [X.restrict(subcorolla_inclusion(t, v)) for v in verts]
+            restrictors = [reference_restrict(X, subcorolla_inclusion(t, v)) for v in verts]
             failure = None
             seen = set()
             for x in values:
@@ -1115,8 +1117,8 @@ class TupleReconstructedOperad(FiniteOperad):
         if n in self._hom_index:
             return self._hom_index[n]
         tn = corolla(n)
-        root_r = self.X.restrict(edge_inclusion(tn, ()))
-        leaf_r = [self.X.restrict(edge_inclusion(tn, (i,))) for i in range(n)]
+        root_r = reference_restrict(self.X, edge_inclusion(tn, ()))
+        leaf_r = [reference_restrict(self.X, edge_inclusion(tn, (i,))) for i in range(n)]
         index = {}
         for el in self.X.values(tn):
             sig = (tuple(r(el) for r in leaf_r), root_r(el))
@@ -1132,7 +1134,7 @@ class TupleReconstructedOperad(FiniteOperad):
         if self._identities is None:
             sigma = degeneracy_at(corolla(1), ())
             # degeneracy: 1-corolla -> one-edge tree; its action makes identities
-            act = self.X.restrict(sigma)
+            act = reference_restrict(self.X, sigma)
             self._identities = {c: act(c) for c in self.colors}
         return self._identities[color]
 
@@ -1179,8 +1181,8 @@ class TupleReconstructedOperad(FiniteOperad):
         # the values first: a grafted tree outside the carrier is named
         values = self.X.values(tree)
         charge("reconstruction graft values", len(values), self.budget)
-        root_act = self.X.restrict(root_sub)
-        slot_acts = [self.X.restrict(s) for s in slot_subs]
+        root_act = reference_restrict(self.X, root_sub)
+        slot_acts = [reference_restrict(self.X, s) for s in slot_subs]
         index = {}
         for z in values:
             family = (root_act(z),) + tuple(act(z) for act in slot_acts)
@@ -1190,13 +1192,13 @@ class TupleReconstructedOperad(FiniteOperad):
                     "the dendroidal set is not strict Segal"
                 )
             index[family] = z
-        data = (tree, slots, index, self.X.restrict(total), (root_sub, slot_subs))
+        data = (tree, slots, index, reference_restrict(self.X, total), (root_sub, slot_subs))
         self._graft_index[key] = data
         return data
 
     def sigma(self, element, sig, perm):
         n = len(perm)
-        act = self.X.restrict(leaf_relabel_automorphism(n, perm))
+        act = reference_restrict(self.X, leaf_relabel_automorphism(n, perm))
         return act(element)
 
     def element_str(self, element):
@@ -1285,6 +1287,61 @@ def witness_restrict(X, m: OmegaMorphism):
         return (new_colors, tuple(new_decs))
 
     return act
+
+
+def table_restrict(X, m: OmegaMorphism):
+    """The table set X's contravariant action along `m` as a function on
+    values: its stored action, or the stored actions of the generators of
+    its factorization chained, the last applied map acting first.  A value
+    an action has no entry for raises DomainError naming the morphism and
+    the value."""
+
+    def lookup(step):
+        table = X._actions[morphism_key(step)]
+
+        def act(el):
+            try:
+                return table[el]
+            except KeyError:
+                raise DomainError(
+                    "stored action has no entry for value",
+                    {"morphism": step.to_json(), "value": str(el)},
+                ) from None
+
+        return act
+
+    def fixes_every_edge(step):
+        return step.source == step.target and all(step(e) == e for e in step.source.edges)
+
+    if morphism_key(m) in X._actions:
+        return lookup(m)
+    if m.source == m.target and m.is_isomorphism() and fixes_every_edge(m):
+        return lambda el: el
+    fact = factorize(m)
+    steps = [*fact.degeneracies, fact.isomorphism, *(f.morphism for f in fact.faces)]
+    actions = []
+    for step in steps:
+        if fixes_every_edge(step):
+            actions.append(lambda el: el)
+        elif morphism_key(step) in X._actions:
+            actions.append(lookup(step))
+        else:
+            raise DomainError("missing generator action", {"morphism": step.to_json()})
+
+    def act(element):
+        for fn in reversed(actions):
+            element = fn(element)
+        return element
+
+    return act
+
+
+def reference_restrict(X, m: OmegaMorphism):
+    """The reference restriction along `m` of a nerve or a table set, as a
+    function on values."""
+    if isinstance(X, NerveDendroidalSet):
+        return witness_restrict(X, m)
+    return table_restrict(X, m)
 
 
 # -- table JSON by whole-item order ---------------------------------------------

@@ -220,10 +220,28 @@ def test_round_trip_of_a_composite_outside_its_hom(tmp_path):
 
 
 def test_import_leaves_the_law_checker_unloaded():
-    # only `operad check` and `--round-trip` import dendrokit.laws
-    code = "import sys, dendrokit.cli; print('dendrokit.laws' in sys.modules)"
+    # only `operad check` and `--round-trip` import dendrokit.laws, and only
+    # the dendroidal commands and the FM coordinates import numpy
+    code = "import sys, dendrokit.cli; print('dendrokit.laws' in sys.modules, 'numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_every_cache_is_bounded():
+    import functools
+    import importlib
+    import pkgutil
+
+    import dendrokit
+
+    caches = []
+    for info in pkgutil.walk_packages(dendrokit.__path__, "dendrokit."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == info.name:
+                caches.append((info.name, name, obj.cache_parameters()["maxsize"]))
+    assert caches
+    assert [c for c in caches if c[2] is None] == []
 
 
 def test_reconstruct_names_grafted_tree_outside_carrier(tmp_path):
@@ -364,6 +382,55 @@ class TestInputErrors:
         path.write_text(f"[[0,0],[1,{coordinate}],[2,1]]")
         payload = self.error_of("fm-embed", "--points", str(path))
         assert payload == {"error": "points must be finite", "detail": {}}
+
+    # the commands that read an operad or a dendroidal set from a file
+    FILE_COMMANDS = [
+        ("segal-check", "--dendroidal"),
+        ("reconstruct", "--dendroidal"),
+        ("operad", "check"),
+        ("reconstruct", "--operad"),
+    ]
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+    def test_malformed_json_file(self, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text("{oops")
+        payload = self.error_of(*command, str(path))
+        assert payload["error"] == "malformed JSON"
+        assert payload["detail"]["position"] == 1
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "text,dendroidal_field,operad_field",
+        [
+            ('{"trees":["*"],"values":{},"actions":[]}', (["values", "*"], "missing"), (["colors"], "missing")),
+            ("[1,2]", ([], "expected an object"), ([], "expected an object")),
+            ('{"colors":["x"]}', (["trees"], "missing"), (["homs"], "missing")),
+            (
+                '{"trees":"*","values":{},"actions":[],"colors":["x"],"identities":{},"comp":[],'
+                '"sym":[],"homs":[{"inputs":"x","output":"x","elements":[]}]}',
+                (["trees"], "expected a list"),
+                (["homs", 0, "inputs"], "expected a list"),
+            ),
+        ],
+        ids=["missing-values", "list", "colors-only", "ill-typed"],
+    )
+    def test_ill_shaped_file(self, tmp_path, command, text, dendroidal_field, operad_field):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        payload = self.error_of(*command, str(path))
+        kind, (field, problem) = (
+            ("dendroidal set", dendroidal_field) if "--dendroidal" in command else ("operad", operad_field)
+        )
+        assert payload == {"error": f"malformed {kind} JSON", "detail": {"field": field, "problem": problem}}
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+    def test_missing_file(self, tmp_path, command):
+        path = str(tmp_path / "absent.json")
+        payload = self.error_of(*command, path)
+        expected = "dendroidal set not found" if "--dendroidal" in command else "operad not found"
+        assert payload["error"] == expected
+        assert payload["detail"]["spec"] == path
 
     def test_non_integer_budget(self, monkeypatch):
         monkeypatch.setenv("DENDRO_BUDGET", "1e6")

@@ -8,9 +8,10 @@ import pytest
 
 from dendrokit.dendroidal import (
     TableDendroidalSet,
+    _corolla_boundary,
     _first_repeat,
+    _value_columns,
     carrier_closure,
-    corolla_values,
     edge_inclusion,
     is_strict_segal,
     materialize,
@@ -25,7 +26,6 @@ from dendrokit.errors import BudgetExceeded, DendroError, DomainError
 from dendrokit.fixtures import load_dendroidal, load_operad
 from dendrokit.morphisms import OmegaMorphism, hom_set
 from dendrokit.operads import (
-    FiniteOperad,
     Signature,
     ass_operad,
     com_operad,
@@ -75,6 +75,16 @@ class TestNerveValues:
             X.values(corolla(3))
 
 
+def restriction_of(X, m):
+    """`X.restrict_index(m)` as a function on the values at the target."""
+    r = X.restrict_index(m)
+    position = {}
+    for i, x in enumerate(X.values(m.target)):
+        position.setdefault(x, i)
+    source = X.values(m.source) if r.size else ()
+    return lambda x: r.decode(int(r.index[position[x]]), source)
+
+
 class TestRestriction:
     def test_precomposition_matches_hom_composition(self):
         # for tree-operad nerves the action is composition of tree maps
@@ -82,7 +92,7 @@ class TestRestriction:
         X = nerve(omega_operad(T))
         S, U = corolla(2), parse_tree("(*(**))")
         for m in hom_set(S, U):
-            act = X.restrict(m)
+            act = restriction_of(X, m)
             for f in hom_set(U, T):
                 colors = tuple(f(e) for e in U.edges)
                 decs = tuple(
@@ -97,9 +107,9 @@ class TestRestriction:
         A, B, C = corolla(2), parse_tree("(*(**))"), parse_tree("(*(**))")
         for f in hom_set(A, B):
             for g in hom_set(B, C):
-                left = X.restrict(f.then(g))
-                right_g = X.restrict(g)
-                right_f = X.restrict(f)
+                left = restriction_of(X, f.then(g))
+                right_g = restriction_of(X, g)
+                right_f = restriction_of(X, f)
                 for x in X.values(C):
                     assert left(x) == right_f(right_g(x))
 
@@ -130,13 +140,13 @@ class TestSegalCore:
         X = nerve(ass_operad(4))
         S, T = corolla(2), parse_tree("(*(**))")
         for m in hom_set(S, T):
-            act = X.restrict(m)
+            act = restriction_of(X, m)
             for x in X.values(T):
                 restricted = act(x)
                 for v in S.vertices:
                     sub = subcorolla_inclusion(S, v)
-                    direct = X.restrict(sub.then(m))(x)
-                    via = X.restrict(sub)(restricted)
+                    direct = restriction_of(X, sub.then(m))(x)
+                    via = restriction_of(X, sub)(restricted)
                     assert direct == via
 
 
@@ -250,14 +260,19 @@ class TestSegalIndexColumns:
         ],
     )
     def test_nerve_columns_match_restriction(self, factory, carrier):
+        # each column names, by position, the corolla value that the
+        # witness-evaluating reference restricts every value to
         X = nerve(factory())
-        index = {k: corolla_values(X, k)[1] for k in range(carrier[1] + 1)}
+        boundary = {k: _corolla_boundary(X, k, {}) for k in range(carrier[1] + 1)}
         for t in enumerate_trees_by_vertices(*carrier):
+            if not t.vertices:
+                continue
             values = X.values(t)
-            for v, column in zip(t.vertices, X.corolla_columns(t, index)):
-                index_k = index[len(t.children(v))]
-                restrict = X.restrict(subcorolla_inclusion(t, v))
-                assert column.tolist() == [index_k[restrict(x)] for x in values]
+            for v, column in zip(t.vertices, _value_columns(X, t, None)):
+                corolla_values = boundary[len(t.children(v))].values
+                reference = oracles.witness_restrict(X, subcorolla_inclusion(t, v))
+                got = [corolla_values[p] for p in column.tolist()]
+                assert got == [reference(x) for x in values]
 
     def test_restriction_outside_corolla_values_reported(self):
         X = two_level_table(("z",), {"z": "p"}, {"z": "r"})
@@ -302,13 +317,13 @@ class TestTableSets:
 
         for t in table.trees:
             for sigma in degeneracies(t):
-                act_sigma = table.restrict(sigma)
+                act_sigma = restriction_of(table, sigma)
                 for face in elementary_faces(t):
                     if face.morphism.source != sigma.target:
                         continue
                     if face.morphism.then(sigma) != OmegaMorphism.identity(sigma.target):
                         continue
-                    act_face = table.restrict(face.morphism)
+                    act_face = restriction_of(table, face.morphism)
                     for x in table.values(sigma.target):
                         assert act_face(act_sigma(x)) == x
 
@@ -328,8 +343,8 @@ class TestTableSets:
         X = nerve(ass_operad(4))
         S, T = leaf_tree(), parse_tree("(*(**))")
         for m in hom_set(S, T):
-            derived = table.restrict(m)
-            direct = X.restrict(m)
+            derived = restriction_of(table, m)
+            direct = restriction_of(X, m)
             for x in table.values(T):
                 assert derived(x) == direct(x)
 
@@ -394,8 +409,8 @@ class TestReconstruction:
 
         for s, t in itertools.product(carrier, repeat=2):
             for m in hom_set(s, t):
-                act_a = XA.restrict(m)
-                act_c = XC.restrict(m)
+                act_a = restriction_of(XA, m)
+                act_c = restriction_of(XC, m)
                 for x in XA.values(t):
                     assert nu(s, act_a(x)) == act_c(nu(t, x))
 
@@ -726,32 +741,6 @@ class TestReconstructionMatchesOracle:
         )
 
 
-class CallLog(FiniteOperad):
-    """An operad that forwards to `P` and logs the identity, compose and
-    sigma calls it receives, with their arguments as given."""
-
-    def __init__(self, P):
-        self.P = P
-        self.colors = P.colors
-        self.arity_bound = P.arity_bound
-        self.calls = []
-
-    def hom(self, inputs, output):
-        return self.P.hom(inputs, output)
-
-    def identity(self, color):
-        self.calls.append(("identity", color))
-        return self.P.identity(color)
-
-    def compose(self, parent, parent_sig, children, child_sigs):
-        self.calls.append(("compose", parent, parent_sig, children, child_sigs))
-        return self.P.compose(parent, parent_sig, children, child_sigs)
-
-    def sigma(self, element, sig, perm):
-        self.calls.append(("sigma", element, sig, perm))
-        return self.P.sigma(element, sig, perm)
-
-
 def _payload_outcome(fn, x):
     """The result of fn(x), or the payload of the DomainError it raises."""
     try:
@@ -762,33 +751,29 @@ def _payload_outcome(fn, x):
 
 def compare_restrictions(P, trees):
     """Restrict every value of the nerve of `P` along every map among
-    `trees`, compiled and by the witness-evaluating oracle.  Returns the
-    (map, value) pairs where the two differ in outcome or in the operad
-    calls they make, and the count of each outcome: "value" or an error
-    message."""
-    log = CallLog(P)
-    X = nerve(log)
+    `trees`, by decoding `restrict_index` and by the witness-evaluating
+    oracle.  Returns the (map, value) pairs where the two differ in result
+    or error, and the count of each outcome: "value" or an error message."""
+    X = nerve(P)
     values = {t: X.values(t) for t in trees}
     mismatches, kinds = [], collections.Counter()
     for s, t in itertools.product(trees, repeat=2):
         for m in hom_set(s, t):
-            compiled, reference = X.restrict(m), oracles.witness_restrict(X, m)
-            for x in values[t]:
-                outcomes = []
-                for act in (compiled, reference):
-                    log.calls = []
-                    outcomes.append((_payload_outcome(act, x), log.calls))
+            r, reference = X.restrict_index(m), oracles.witness_restrict(X, m)
+            for i, x in enumerate(values[t]):
+                gathered = _payload_outcome(lambda p: r.decode(p, values[s]), int(r.index[i]))
+                outcomes = [gathered, _payload_outcome(reference, x)]
                 if outcomes[0] != outcomes[1]:
                     mismatches.append((m.to_json(), x, outcomes))
-                kind, result = outcomes[0][0]
+                kind, result = outcomes[0]
                 kinds[result["error"] if kind == "error" else kind] += 1
     return mismatches, kinds
 
 
 class TestCompiledRestriction:
-    """The compiled nerve restriction agrees with recursive witness
-    evaluation on every value along every map: same result or error, same
-    operad calls with equal arguments in the same order."""
+    """The nerve restriction, run on whole columns, agrees with recursive
+    witness evaluation on every value along every map: the same result or
+    the same error."""
 
     @pytest.mark.parametrize(
         "factory,carrier",
