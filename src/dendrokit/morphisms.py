@@ -23,6 +23,12 @@ sorting isomorphic sibling blocks rather than enumerating the group.
 Subtree inclusions are built valid as well: an edge subset only ever leaves
 out closed branches, so no candidate is validated and dropped.  Extended
 corollas are read off the degeneracy chain of `shorten`.
+
+Three memos share one bound, ``_CACHE_SIZE`` entries each: the operation
+input sets and the elementary faces per tree, and the degeneracy per (tree,
+unary vertex), so `factorize`, `degeneracies`, `shorten`, the dendroidal
+carrier closure and `materialize` collapse each pair once.  Memoized
+morphisms are shared; `OmegaMorphism.map` hands out a copy of the edge map.
 """
 
 from __future__ import annotations
@@ -42,8 +48,9 @@ from .trees import (
     reduced_corolla,
 )
 
-# Bound on the per-tree memos (operation input sets, elementary faces); it
-# stays above the largest carrier the library enumerates by default.
+# Bound on the per-tree memos (operation input sets, elementary faces,
+# degeneracies); it stays above the largest carrier the library enumerates
+# by default.
 _CACHE_SIZE = 4096
 
 # -- operations of the operad generated by a tree -------------------------
@@ -326,10 +333,13 @@ def hom_set(source: Tree, target: Tree, budget=None):
 
 
 def _finish(raw_node, raw_map):
-    """Canonicalize a raw node; returns (tree, {canonical addr: payload})."""
+    """Canonicalize a raw node; returns (tree, {canonical addr: payload}).
+    The keys are the tree's own address tuples, so a morphism built on them
+    holds no second copy of the tree's addresses."""
     canon, cmap = canonicalize_node(raw_node)
     tree = Tree(canon, _canonical=True)
-    return tree, {cmap[raw]: payload for raw, payload in raw_map.items()}
+    own = dict(zip(tree.edges, tree.edges))
+    return tree, {own[cmap[raw]]: payload for raw, payload in raw_map.items()}
 
 
 def contract_inner_edge(t: Tree, edge) -> OmegaMorphism:
@@ -358,9 +368,11 @@ def contract_inner_edge(t: Tree, edge) -> OmegaMorphism:
     return OmegaMorphism(tree, t, addr_map, _checked=True)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def degeneracy_at(t: Tree, unary) -> OmegaMorphism:
     """Collapse the unary vertex at `unary`, identifying its input and output
-    edges; returns the degeneracy t -> (collapsed tree)."""
+    edges; returns the degeneracy t -> (collapsed tree).  Memoized per
+    (tree, address), so callers share one morphism."""
     if t.is_leaf(unary) or len(t.children(unary)) != 1:
         raise DomainError("not a unary vertex", {"address": format_address(unary)})
     child = unary + (0,)

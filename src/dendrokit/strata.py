@@ -267,16 +267,23 @@ class StratPoset:
         return "\n".join(lines) + "\n"
 
 
-def _labelled_trees_over(labels):
-    """All labelled trees (vertices of >= 2 inputs) on a sorted label tuple."""
+def _labelled_trees_over(labels, memo):
+    """All labelled trees (vertices of >= 2 inputs) on a sorted label tuple.
+    `memo` maps each label tuple already met to its trees, so a subset that
+    recurs as a partition block is built once and its trees are shared."""
+    out = memo.get(labels)
+    if out is not None:
+        return out
     if len(labels) == 1:
-        return [_leaf(labels[0])]
-    out = []
-    for blocks in _set_partitions(labels):
-        if len(blocks) < 2:
-            continue
-        pools = [_labelled_trees_over(tuple(b)) for b in blocks]
-        out.extend(map(_vertex, itertools.product(*pools)))
+        out = [_leaf(labels[0])]
+    else:
+        out = []
+        for blocks in _set_partitions(labels):
+            if len(blocks) < 2:
+                continue
+            pools = [_labelled_trees_over(tuple(b), memo) for b in blocks]
+            out.extend(map(_vertex, itertools.product(*pools)))
+    memo[labels] = out
     return out
 
 
@@ -298,7 +305,7 @@ def enumerate_psi(k, budget=None) -> StratPoset:
     if k < 2:
         raise DomainError("stratification poset needs k >= 2", {"k": k})
     charge("psi enumeration", _psi_count(k), budget)
-    trees = _labelled_trees_over(tuple(range(1, k + 1)))
+    trees = _labelled_trees_over(tuple(range(1, k + 1)), {})
     for t in trees:
         t.validate()
     return StratPoset.build(k, trees)

@@ -105,15 +105,16 @@ def _canonicalize(node):
 class Tree:
     """A canonical rooted tree.  Hashable; equality includes edge labels."""
 
-    __slots__ = ("_node", "_nodes", "_edges", "_key", "_hash", "_leaves", "_vertices")
+    __slots__ = ("_node", "_nodes", "_children", "_edges", "_key", "_hash", "_leaves", "_vertices")
 
     def __init__(self, node, _canonical=False):
         if not _canonical:
             node, _ = canonicalize_node(node)
         self._node = node
-        nodes = {}
-        _collect(node, (), nodes)
+        nodes, children = {}, {}
+        _collect(node, (), nodes, children)
         self._nodes = nodes
+        self._children = children
         self._edges = tuple(sorted(nodes))
         self._key = _node_key(node)
         self._hash = hash(node)
@@ -150,11 +151,13 @@ class Tree:
         return self.node_at(addr)[0] is not LEAF
 
     def children(self, addr):
-        """Input edges of the vertex carried by `addr` (empty for stumps)."""
-        children, _ = self.node_at(addr)
-        if children is LEAF:
+        """Input edges of the vertex carried by `addr` (empty for stumps);
+        the tuple is built with the tree, so every call returns the same one."""
+        kids = self._children.get(addr)
+        if kids is None:
+            self.node_at(addr)
             raise DomainError("leaf edge has no vertex", {"address": format_address(addr)})
-        return tuple(addr + (i,) for i in range(len(children)))
+        return kids
 
     def label(self, addr):
         return self.node_at(addr)[1]
@@ -195,12 +198,18 @@ class Tree:
         return f"Tree({self.term!r})"
 
 
-def _collect(node, addr, out):
-    out[addr] = node
-    children, _ = node
-    if children is not LEAF:
-        for i, child in enumerate(children):
-            _collect(child, addr + (i,), out)
+def _collect(node, addr, nodes, children):
+    """Fill `nodes` with every edge's node and `children` with every vertex's
+    tuple of input addresses; each address is built once."""
+    nodes[addr] = node
+    kids = node[0]
+    if kids is not LEAF:
+        addrs = []
+        for i, kid in enumerate(kids):
+            a = addr + (i,)
+            addrs.append(a)
+            _collect(kid, a, nodes, children)
+        children[addr] = tuple(addrs)
 
 
 # -- construction helpers -----------------------------------------------

@@ -29,7 +29,9 @@ closure of single inner-edge contractions, found by walking each labelled
 tree; the library compares nested sets.  The reference labelled-tree
 canonical form, term, nested set and valences re-serialize or walk every
 sub-term at every level; the library builds each tree once from canonical
-branches.  The reference tree canonicalization re-serializes every sub-term
+branches.  The reference psi enumeration rebuilds the trees over a label
+subset at every partition block it appears in; the library builds them once
+per subset.  The reference tree canonicalization re-serializes every sub-term
 to sort the children of each vertex; the library builds the sort keys once,
 bottom-up.  The reference tree shapes come from two memoized recurrences,
 one per size measure; the library builds one measure's levels bottom-up
@@ -81,7 +83,7 @@ from dendrokit.operads import (
     direct_sum_permutation,
     perm_compose,
 )
-from dendrokit.strata import LabelledTree, StratPoset
+from dendrokit.strata import LabelledTree, StratPoset, _leaf, _set_partitions, _vertex
 from dendrokit.trees import (
     LEAF,
     Tree,
@@ -516,6 +518,20 @@ def labelled_leaves(node):
     if isinstance(node, int):
         return [node]
     return sorted(label for c in node for label in labelled_leaves(c))
+
+
+def labelled_trees_per_block(labels):
+    """All labelled trees on a sorted label tuple, rebuilding the trees over
+    a label subset every time it recurs as a partition block."""
+    if len(labels) == 1:
+        return [_leaf(labels[0])]
+    out = []
+    for blocks in _set_partitions(labels):
+        if len(blocks) < 2:
+            continue
+        pools = [labelled_trees_per_block(tuple(b)) for b in blocks]
+        out.extend(map(_vertex, itertools.product(*pools)))
+    return out
 
 
 # -- the stratification order by contraction -------------------------------------

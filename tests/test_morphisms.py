@@ -13,6 +13,7 @@ from dendrokit.morphisms import (
     classify,
     contract_inner_edge,
     degeneracies,
+    degeneracy_at,
     elementary_faces,
     factorize,
     hom_set,
@@ -279,6 +280,42 @@ class TestFactorize:
             for m in hom_set(s, t):
                 fact = factorize(m)
                 assert fact.composite() == m
+
+
+class TestDegeneracyMemo:
+    def test_one_collapse_per_tree_and_vertex(self):
+        trees = enumerate_trees_by_vertices(3, 3)
+        degeneracy_at.cache_clear()
+        facts = [factorize(m) for s, t in itertools.product(trees, repeat=2) for m in hom_set(s, t)]
+        assert len(facts) == 12061
+        steps = [sigma for fact in facts for sigma in fact.degeneracies]
+        pairs = {}
+        for sigma in steps:
+            t = sigma.source
+            # the one unary vertex whose input edge goes where it goes
+            (v,) = [
+                v for v in t.vertices
+                if len(t.children(v)) == 1 and sigma(v) == sigma(t.children(v)[0])
+            ]
+            pairs.setdefault((t, v), []).append(sigma)
+        info = degeneracy_at.cache_info()
+        assert info.misses == len(pairs) == 51
+        assert info.hits + info.misses == len(steps)
+        for (t, v), found in pairs.items():
+            cached = degeneracy_at(t, v)
+            assert all(sigma is cached for sigma in found)
+            fresh = degeneracy_at.__wrapped__(t, v)
+            assert fresh is not cached
+            assert (cached.source, cached.target, cached.map) == (fresh.source, fresh.target, fresh.map)
+
+    def test_non_unary_vertex_still_refused(self):
+        t = parse_tree("((**)*)")
+        for v in [(), (0,), (1,)]:
+            with pytest.raises(DomainError) as err:
+                degeneracy_at(t, v)
+            assert err.value.payload() == {
+                "error": "not a unary vertex", "detail": {"address": ".".join(map(str, v))},
+            }
 
 
 class TestSubtrees:

@@ -8,6 +8,7 @@ from dendrokit.errors import DomainError
 from dendrokit.strata import (
     Configuration,
     LabelledTree,
+    _labelled_trees_over,
     _psi_count,
     boundary_index,
     cobound_index,
@@ -93,6 +94,21 @@ class TestBuiltFromBranches:
     def test_valences_of_every_stratum(self, k):
         for t in enumerate_psi(k).elements:
             assert t.valences() == oracles.labelled_valences(t.node)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_each_label_subset_built_once(self, k):
+        labels = tuple(range(1, k + 1))
+        memo = {}
+        got = _labelled_trees_over(labels, memo)
+        want = oracles.labelled_trees_per_block(labels)
+        assert [t.term for t in got] == [t.term for t in want]
+        # every nonempty subset recurs as a block, and is kept once
+        assert len(memo) == 2**k - 1
+        for t in got:
+            for branch_node in t.node:
+                if isinstance(branch_node, tuple):
+                    pool = memo[tuple(oracles.labelled_leaves(branch_node))]
+                    assert any(b.node is branch_node for b in pool)
 
     @pytest.mark.parametrize(
         "raw",

@@ -161,6 +161,32 @@ class TestStats:
         assert inner_labels == {"b", "d"}
 
 
+class TestChildren:
+    def test_stored_tuples_match_node_arity(self):
+        trees = enumerate_trees_by_vertices(4, 4)
+        assert len(trees) == 1021
+        for t in trees:
+            for v in t.vertices:
+                kids = t.children(v)
+                assert kids == tuple(v + (i,) for i in range(len(t.node_at(v)[0])))
+                assert t.children(v) is kids
+
+    @pytest.mark.parametrize(
+        "term, addr, payload",
+        [
+            ("*", (), {"error": "leaf edge has no vertex", "detail": {"address": ""}}),
+            ("(*())", (0,), {"error": "leaf edge has no vertex", "detail": {"address": "0"}}),
+            ("(*())", (2,), {"error": "unknown edge", "detail": {"address": "2"}}),
+            ("(*())", (1, 0), {"error": "unknown edge", "detail": {"address": "1.0"}}),
+            ("()", (0,), {"error": "unknown edge", "detail": {"address": "0"}}),
+        ],
+    )
+    def test_leaf_and_unknown_address(self, term, addr, payload):
+        with pytest.raises(DomainError) as err:
+            parse_tree(term).children(addr)
+        assert err.value.payload() == payload
+
+
 class TestAutomorphisms:
     @pytest.mark.parametrize("n", range(6))
     def test_corolla_factorial(self, n):
