@@ -36,13 +36,13 @@ def emit_json(payload):
 
 def read_text(path):
     """The contents of a file argument; '-' reads stdin."""
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
-    except OSError as err:
-        reason = err.strerror or str(err)
+    except (OSError, ValueError) as err:
+        reason = getattr(err, "strerror", None) or str(err)
         raise DomainError("cannot read input file", {"path": path, "reason": reason})
 
 
@@ -311,7 +311,7 @@ def segal_check(operad_spec, dendroidal_spec, terms, max_vertices, max_inputs):
 
     if (operad_spec is None) == (dendroidal_spec is None):
         raise click.UsageError("give exactly one of --operad / --dendroidal")
-    if operad_spec:
+    if operad_spec is not None:
         P = load_operad(operad_spec)
         carrier = _carrier(P, max_vertices, max_inputs, terms)
         X = dnd.nerve(P, trees=carrier)
@@ -338,7 +338,7 @@ def reconstruct(operad_spec, dendroidal_spec, arity_bound, round_trip):
 
     if (operad_spec is None) == (dendroidal_spec is None):
         raise click.UsageError("give exactly one of --operad / --dendroidal")
-    if operad_spec:
+    if operad_spec is not None:
         P = load_operad(operad_spec, arity_bound)
         if round_trip:
             witness = dnd.nerve_round_trip(P, arity_bound)
@@ -368,6 +368,8 @@ def reconstruct(operad_spec, dendroidal_spec, arity_bound, round_trip):
 @handle_domain_errors
 def psi(k, count_only, as_json, as_dot, ambient):
     """The stratification poset at level K."""
+    if as_json and as_dot:
+        raise click.UsageError("give at most one of --json / --dot")
     poset = strata.enumerate_psi(k)
     if count_only:
         emit(str(len(poset)))
@@ -391,6 +393,8 @@ def psi(k, count_only, as_json, as_dot, ambient):
 @handle_domain_errors
 def boundary_index(n, count_only, as_json, as_dot, ambient):
     """The stratification poset without its corolla."""
+    if as_json and as_dot:
+        raise click.UsageError("give at most one of --json / --dot")
     poset = strata.boundary_index(n)
     if count_only:
         emit(str(len(poset)))

@@ -111,15 +111,20 @@ _TYPE_NAMES = {str: "a string", int: "an integer", _SCALAR: "a string, number, b
 
 
 def _read_payload(spec, what, shape):
-    """The JSON object in the file `spec`, checked against `shape`."""
-    try:
-        with open(spec) as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        return None
-    except (OSError, UnicodeDecodeError) as err:
-        reason = getattr(err, "strerror", None) or str(err)
-        raise DomainError("cannot read input file", {"path": spec, "reason": reason})
+    """The JSON object in the bundled file or the file `spec`, checked
+    against `shape`; None when there is no such file.  The loaders read a
+    bundled file of their own kind directly: its builder is tested."""
+    if spec in BUNDLED_FILES:
+        text = fixture_text(spec)
+    else:
+        try:
+            with open(spec) as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as err:
+            reason = getattr(err, "strerror", None) or str(err)
+            raise DomainError("cannot read input file", {"path": spec, "reason": reason})
     payload = parse_json(text)
     found = _misfit(payload, shape)
     if found:
@@ -132,7 +137,7 @@ def load_operad(spec, arity_bound=None):
     name, or a path to an operad JSON file."""
     if spec in BUILTIN_OPERADS:
         return builtin_operad(spec, arity_bound)
-    if spec in BUNDLED_FILES:
+    if spec in BUNDLED_FILES and spec.endswith(".operad.json"):
         return TableOperad.from_json(load_fixture_json(spec))
     payload = _read_payload(spec, "operad", _OPERAD)
     if payload is None:
@@ -150,7 +155,7 @@ def load_dendroidal(spec):
     """A TableDendroidalSet from a bundled fixture name or a file path."""
     from ..dendroidal import TableDendroidalSet  # here, so that loading the CLI imports no numpy
 
-    if spec in BUNDLED_FILES:
+    if spec in BUNDLED_FILES and spec.endswith(".dendroidal.json"):
         return TableDendroidalSet.from_json(load_fixture_json(spec), name=spec)
     payload = _read_payload(spec, "dendroidal set", _DENDROIDAL)
     if payload is None:

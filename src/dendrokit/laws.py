@@ -4,11 +4,18 @@
 position), and a (parent, children) signature pair or a (signature,
 permutation) pair is an int array of value ids, one scalar ``compose`` or
 ``sigma`` per entry.  ``check_axioms`` (behind ``operads.check_operad_axioms``)
-compares each law's instances as gathers from one operad's tables;
-``check_isomorphism`` (behind ``dendroidal.verify_operad_isomorphism``)
-compares two operads' tables through an element map.  Elements and images
-must be hashable.  Only those two entry points import this module, when
-called.
+checks each law on one operad's tables; ``check_isomorphism`` (behind
+``dendroidal.verify_operad_isomorphism``) compares two operads' tables
+through an element map.
+
+Every grid of instances takes one of two paths.  A regular grid reads only
+hom positions: its two sides are compared as gathers of id arrays, and only
+the instances whose ids differ are recomputed.  An irregular grid reads a
+call that raised or a value outside its hom-set, and every instance is
+recomputed.  The recomputation (each grid's ``replay``) makes the law's
+scalar calls, raises where the instance raises, and is the only place that
+reports a violation or a failure.  Elements and images must be hashable.
+Only those two entry points import this module, when called.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from .operads import (
 # Cells of one slice of an instance grid, unless a block is larger.
 _SLICE = 1 << 14
 
-# The cell of a block whose `compose` or `sigma` call raised.
-_RAISED = -1
+# The id of a value outside its hom-set, and the cell of a call that raised.
+_IRREGULAR = -1
 
 # Largest arity whose symmetric group the symmetry and equivariance laws
 # run through.
@@ -60,7 +67,7 @@ class _Block:
     """One composition block or symmetry table: the ids of its values over
     every choice of hom positions, laid out row-major at `offset` of the
     arena.  Axis 0 is the parent (or the permuted element), the others the
-    children.  `irregular` when a cell raised or left its hom-set."""
+    children.  `irregular` when a cell is `_IRREGULAR`."""
 
     __slots__ = ("offset", "shape", "strides", "out_sig", "irregular")
 
@@ -72,72 +79,62 @@ class _Block:
 class _Tables:
     """The integer tables of one operad, each filled on first use.
 
-    Every element of ``P.hom(sig)`` is identified by its position.  A value
-    outside the hom-set of its signature gets that signature's next fresh
-    id, so it compares unequal to every hom element; signatures outside the
-    checked ones have no positions at all.  A composition block holds one
-    ``P.compose`` per (parent, children) choice and a symmetry table one
-    ``P.sigma`` per element, all in one int64 arena; a call that raises
-    leaves ``_RAISED`` in its cell, to be raised again by the instance that
-    first needs it.
+    Every element of ``P.hom(sig)`` is identified by its first position, and
+    ``elements[sig]`` is that hom list; a value outside it has the id
+    `_IRREGULAR`, and signatures outside the checked ones have no positions
+    at all.  A composition block holds one ``P.compose`` per (parent,
+    children) choice and a symmetry table one ``P.sigma`` per element, all
+    in one int64 arena.  A call that raises or returns a value outside its
+    hom-set leaves `_IRREGULAR` in its cell and makes its block irregular.
     """
 
     def __init__(self, P, sigs):
         self.P = P
         self._known = set(sigs)
-        self.elements = {}  # sig -> hom elements by position, then fresh values
-        self._ids = {}  # sig -> {element: first id}
-        self._size = {}  # sig -> number of hom positions
+        self.elements = {}  # sig -> hom elements by position
+        self._ids = {}  # sig -> {element: first position}
         self._composed = {}  # (sig, child sigs) -> block
         self._acted = {}  # (sig, perm) -> symmetry table
         self.cells = np.empty(1024, dtype=np.int64)
         self._used = 0
         self.largest = 0
 
-    def size(self, sig):
-        if sig not in self._size:
+    def hom(self, sig):
+        els = self.elements.get(sig)
+        if els is None:
             els = list(self.P.hom(sig.inputs, sig.output)) if sig in self._known else []
             ids = {}
             for i, e in enumerate(els):
                 ids.setdefault(e, i)
-            self.elements[sig], self._ids[sig], self._size[sig] = els, ids, len(els)
-        return self._size[sig]
+            self.elements[sig], self._ids[sig] = els, ids
+        return els
 
-    def hom(self, sig):
-        n = self.size(sig)
-        return self.elements[sig][:n]
+    def size(self, sig):
+        return len(self.hom(sig))
 
     def id_of(self, sig, element):
-        self.size(sig)
-        i = self._ids[sig].setdefault(element, len(self.elements[sig]))
-        if i == len(self.elements[sig]):
-            self.elements[sig].append(element)
-        return i
+        self.hom(sig)
+        return self._ids[sig].get(element, _IRREGULAR)
 
     def canonical(self, sig):
         """The id of the element at every hom position of `sig`."""
-        ids = self._ids[sig]
-        return np.array([ids[e] for e in self.hom(sig)], dtype=np.int64)
+        return self.column([self.id_of(sig, e) for e in self.hom(sig)])
 
     def _fill(self, axes, out_sig, fn, calls):
         """The block over `axes` of the ids of ``fn(*args)`` for every args
-        of `calls`, in order.  The id dict and element list of `out_sig` are
-        looked up once per block, not once per value."""
-        self.size(out_sig)
-        ids, elements = self._ids[out_sig], self.elements[out_sig]
+        of `calls`, in order.  The id dict of `out_sig` is looked up once
+        per block, not once per value."""
+        self.hom(out_sig)
+        get = self._ids[out_sig].get
 
         def values():
             for args in calls:
                 try:
                     value = fn(*args)
                 except DendroError:
-                    yield _RAISED
-                    continue
-                i = ids.get(value)
-                if i is None:
-                    i = ids[value] = len(elements)
-                    elements.append(value)
-                yield i
+                    yield _IRREGULAR
+                else:
+                    yield get(value, _IRREGULAR)
 
         shape = tuple(self.size(s) for s in axes)
         n = math.prod(shape)
@@ -147,8 +144,7 @@ class _Tables:
             self.cells = grown
         cells = self.cells[self._used : self._used + n]
         cells[:] = np.fromiter(values(), dtype=np.int64, count=n)
-        irregular = n > 0 and (cells.min() < 0 or cells.max() >= self.size(out_sig))
-        block = _Block(self._used, shape, out_sig, bool(irregular))
+        block = _Block(self._used, shape, out_sig, bool(n > 0 and cells.min() < 0))
         self._used += n
         self.largest = max(self.largest, n)
         return block
@@ -182,12 +178,6 @@ class _Tables:
     def column(self, values):
         return np.array(values, dtype=np.int64)
 
-    def valid(self, ids, size):
-        """Mask of the ids that are hom positions below `size`, and the ids
-        with every other one replaced by 0 so that it can still be read."""
-        ok = (ids >= 0) & (ids < size)
-        return ok, np.where(ok, ids, 0)
-
 
 def _suffix_products(rows):
     """Row i: the product of rows i.. of a 2-D int array; a last row of ones."""
@@ -196,35 +186,27 @@ def _suffix_products(rows):
     return out
 
 
-def _scan(T, rows, cols, evaluate, violation, replay, stop=None):
-    """Check a rows x cols grid of instances in row-major slices.
+def _scan(T, rows, cols, evaluate, replay, regular, stop=None):
+    """What ``replay(r, c)`` returns, unless None, for the instances of a
+    rows x cols grid that may break their law, in row-major order.
 
-    ``evaluate(r0, r1, c0, c1)`` returns the lhs and rhs id arrays of a slice
-    and the mask of its instances that read a raised cell or a fresh id, or
-    None when no table it reads holds one.  A mismatch becomes
-    ``violation(r, c, lhs, rhs)``; a masked instance is recomputed by
-    ``replay(r, c)`` through scalar calls, which raises where the instance
-    does; what either returns is yielded unless it is None.  Only the first
-    `stop` instances are looked at.  No slice holds more cells than the
-    largest block or `_SLICE`."""
+    On a regular grid these are the instances whose sides differ:
+    ``evaluate(r0, r1, c0, c1)`` returns the lhs and rhs id arrays of a
+    slice, and no slice holds more cells than the largest block or
+    `_SLICE`.  On an irregular grid they are all its instances, or the
+    first `stop` of them.  ``replay`` recomputes an instance by scalar calls
+    and raises where the instance does."""
+    if not regular:
+        hits = (divmod(i, cols) for i in range(rows * cols if stop is None else stop))
+        yield from filter(None, itertools.starmap(replay, hits))
+        return
     cap = max(_SLICE, T.largest)
     step = max(1, cap // cols)
     for r0 in range(0, rows, step):
         for c0 in range(0, cols, cap):
-            if stop is not None and r0 * cols + c0 >= stop:
-                return
-            lhs, rhs, bad = evaluate(r0, min(rows, r0 + step), c0, min(cols, c0 + cap))
-            hits = lhs != rhs if bad is None else (lhs != rhs) | bad
-            for i, j in zip(*np.nonzero(hits)):
-                r, c = r0 + int(i), c0 + int(j)
-                if stop is not None and r * cols + c >= stop:
-                    return
-                if bad is not None and bad[i, j]:
-                    found = replay(r, c)
-                else:
-                    found = violation(r, c, lhs[i, j], rhs[i, j])
-                if found:
-                    yield found
+            lhs, rhs = evaluate(r0, min(rows, r0 + step), c0, min(cols, c0 + cap))
+            i, j = np.nonzero(lhs != rhs)
+            yield from filter(None, map(replay, (r0 + i).tolist(), (c0 + j).tolist()))
 
 
 # -- the laws, one instance grid at a time ---------------------------------------
@@ -243,25 +225,18 @@ def _check_units(T, report, sigs):
         ids = [P.identity(c) for c in s.inputs]
         out_id = P.identity(s.output)
         right, left = T.compose(s, id_sigs), T.compose(out_sig, (s,))
-        r_ok, r_pos = T.valid(T.column([T.id_of(*a) for a in zip(id_sigs, ids)]), T.column(right.shape[1:]))
-        l_ok, l_pos = T.valid(T.id_of(out_sig, out_id), left.shape[0])
+        r_pos = T.column([T.id_of(*a) for a in zip(id_sigs, ids)])
+        l_pos = T.id_of(out_sig, out_id)
+        regular = not (right.irregular or left.irregular) and min(l_pos, *r_pos) >= 0
         r_base = right.offset + int(r_pos @ T.column(right.strides[1:]))
-        l_base = left.offset + int(l_pos) * left.strides[0]
-        irregular = right.irregular or left.irregular or not (r_ok.all() and l_ok)
+        l_base = left.offset + l_pos * left.strides[0]
         canon, cells = T.canonical(s), T.cells
 
         def evaluate(r0, r1, c0, c1):
             el = np.arange(r0, r1)
             lhs = np.stack([cells[r_base + el * right.strides[0]], cells[l_base + el]], axis=1)
             rhs = np.repeat(canon[r0:r1, None], 2, axis=1)
-            bad = (lhs < 0) | ~np.array([r_ok.all(), l_ok]) if irregular else None
-            return lhs[:, c0:c1], rhs[:, c0:c1], None if bad is None else bad[:, c0:c1]
-
-        def where(el):
-            return {"sig": _sig_str(s), "element": str(T.elements[s][el])}
-
-        def violation(el, law, lhs, rhs):
-            return laws[law], where(el), T.elements[s][lhs], T.elements[s][rhs]
+            return lhs[:, c0:c1], rhs[:, c0:c1]
 
         def replay(el, law):
             element = T.elements[s][el]
@@ -269,9 +244,10 @@ def _check_units(T, report, sigs):
                 got = P.compose(element, s, list(ids), list(id_sigs))
             else:
                 got = P.compose(out_id, out_sig, [element], [s])
-            return (laws[law], where(el), got, element) if got != element else None
+            if got != element:
+                return laws[law], {"sig": _sig_str(s), "element": str(element)}, got, element
 
-        for found in _scan(T, right.shape[0], 2, evaluate, violation, replay):
+        for found in _scan(T, right.shape[0], 2, evaluate, replay, regular):
             report.add(*found)
         report.checked += 2 * right.shape[0]
 
@@ -279,7 +255,9 @@ def _check_units(T, report, sigs):
 def _check_associativity(T, report, instances, sigs, arity_bound, limit):
     """``(f ∘ gs) ∘ hs == f ∘ (g_i ∘ block_i(hs))`` per composition instance:
     rows are the (f, gs) choices, columns every grandchild signature combo
-    with its (hs) choices, in product order."""
+    with its (hs) choices, in product order.  A regular grid that crosses
+    the budget raises at once; an irregular one is recomputed up to the
+    budget first."""
     P, column = T.P, T.column
     by_output = {}
     for s in sigs:
@@ -334,12 +312,12 @@ def _check_associativity(T, report, instances, sigs, arity_bound, limit):
             ]
         picks = [p for p, _ in picks]
         E = [T.compose(ps, tuple(d[1][j].out_sig for d, j in zip(D, p))) for p in picks]
-        irregular = any(t.irregular for t in (A, *B, *E, *(b for d in D for b in d[1])))
+        regular = not any(t.irregular for t in (A, *B, *E, *(b for d in D for b in d[1])))
 
         starts = list(itertools.accumulate(b_step.tolist(), initial=0))
         rows, cols = math.prod(A.shape), starts[-1]
         stop = limit - count if count + rows * cols > limit else None
-        if stop is not None and not irregular:
+        if stop is not None and regular:
             raise BudgetExceeded("associativity instances", limit + 1, limit)
 
         # per child (rows) and combo (columns): where the child's block sits,
@@ -350,56 +328,28 @@ def _check_associativity(T, report, instances, sigs, arity_bound, limit):
         d_inner, e_step = _suffix_products(d_step)[1:], _suffix_products(d_size)
         e_off = column([e.offset for e in E])
         ends, first = column(starts[1:]), column(starts[:-1])
-        m_size, cells = T.size(mid), T.cells
+        cells = T.cells
 
         def evaluate(r0, r1, c0, c1):
             fg = np.arange(r0, r1)[:, None]
             col = np.arange(c0, c1)
             combo = np.searchsorted(ends, col, side="right")
             local = col - first[combo]
-            bad = None
-            mids = cells[A.offset + fg]
-            if irregular:
-                ok, mids = T.valid(mids, m_size)
-                bad = ~ok
-            lhs = cells[b_off[combo] + local + mids * b_step[combo]]
-            step, size, e = d_step[:, combo], d_size[:, combo], e_step[:, combo]
+            lhs = cells[b_off[combo] + local + cells[A.offset + fg] * b_step[combo]]
+            step, e = d_step[:, combo], e_step[:, combo]
             read = d_off[:, combo] + local // d_inner[:, combo] % step
             at = e_off[combo] + fg // A.strides[0] * e[0]
             for i in range(len(cs)):
-                d = cells[read[i] + fg // A.strides[i + 1] % A.shape[i + 1] * step[i]]
-                if irregular:
-                    ok, d = T.valid(d, size[i])
-                    bad = bad | ~ok
-                at = at + d * e[i + 1]
-            rhs = cells[at]
-            if irregular:
-                bad = bad | (lhs < 0) | (rhs < 0)
-            return lhs, rhs, bad
+                at = at + cells[read[i] + fg // A.strides[i + 1] % A.shape[i + 1] * step[i]] * e[i + 1]
+            return lhs, cells[at]
 
-        def unpack(fg, col):
+        def replay(fg, col):
             f, *gs = np.unravel_index(fg, A.shape)
             c = bisect.bisect_right(starts, col) - 1
             hs = np.unravel_index(col - starts[c], B[c].shape[1:])
             f = T.elements[ps][f]
             gs = [T.elements[s][g] for s, g in zip(cs, gs)]
             hs = [T.elements[s][h] for s, h in zip(combos[c], hs)]
-            where = {
-                "parent": _sig_str(ps),
-                "children": [_sig_str(s) for s in cs],
-                "f": str(f),
-                "gs": [str(g) for g in gs],
-                "hs": [str(h) for h in hs],
-            }
-            return f, gs, c, hs, where
-
-        def violation(fg, col, lhs, rhs):
-            _, _, c, _, where = unpack(fg, col)
-            els = T.elements[B[c].out_sig]
-            return "associativity", where, els[lhs], els[rhs]
-
-        def replay(fg, col):
-            f, gs, c, hs, where = unpack(fg, col)
             lhs = P.compose(P.compose(f, ps, gs, list(cs)), mid, hs, list(combos[c]))
             rhs_children, rhs_sigs, pos = [], [], 0
             for g, s in zip(gs, cs):
@@ -408,9 +358,17 @@ def _check_associativity(T, report, instances, sigs, arity_bound, limit):
                 rhs_sigs.append(_composite(s, h_sigs))
                 pos += s.arity
             rhs = P.compose(f, ps, rhs_children, rhs_sigs)
-            return ("associativity", where, lhs, rhs) if lhs != rhs else None
+            if lhs != rhs:
+                where = {
+                    "parent": _sig_str(ps),
+                    "children": [_sig_str(s) for s in cs],
+                    "f": str(f),
+                    "gs": [str(g) for g in gs],
+                    "hs": [str(h) for h in hs],
+                }
+                return "associativity", where, lhs, rhs
 
-        for found in _scan(T, rows, cols, evaluate, violation, replay, stop):
+        for found in _scan(T, rows, cols, evaluate, replay, regular, stop):
             report.add(*found)
         if stop is not None:
             raise BudgetExceeded("associativity instances", limit + 1, limit)
@@ -432,50 +390,33 @@ def _check_symmetry(T, report, sigs):
         once = {p: T.sigma(s, p) for p, _ in pairs}
         then = [T.sigma(once[p].out_sig, q) for p, q in pairs]
         both = [once[perm_compose(p, q)] for p, q in pairs]
-        irregular = any(t.irregular for t in (*once.values(), *then))
-        p_off = T.column([once[p].offset for p, _ in pairs])
-        q_off, q_size = T.column([t.offset for t in then]), T.column([t.shape[0] for t in then])
+        regular = not any(t.irregular for t in (*once.values(), *then))
+        p_off, q_off = T.column([once[p].offset for p, _ in pairs]), T.column([t.offset for t in then])
         pq_off = T.column([t.offset for t in both])
         id_off, canon, cells = once[ident].offset, T.canonical(s), T.cells
 
         def evaluate(r0, r1, c0, c1):
             el = np.arange(r0, r1)[:, None]
             pick = slice(max(c0, 1) - 1, c1 - 1)
-            el_p = cells[p_off[pick] + el]
-            if irregular:
-                ok, el_p = T.valid(el_p, q_size[pick])
-            lhs = [cells[q_off[pick] + el_p]]
+            lhs = [cells[q_off[pick] + cells[p_off[pick] + el]]]
             rhs = [cells[pq_off[pick] + el]]
-            bad = [~ok | (lhs[0] < 0) | (rhs[0] < 0)] if irregular else None
             if c0 == 0:
                 lhs.insert(0, cells[id_off + el])
                 rhs.insert(0, canon[r0:r1, None])
-                if irregular:
-                    bad.insert(0, lhs[0] < 0)
-            return (np.concatenate(lhs, axis=1), np.concatenate(rhs, axis=1),
-                    None if bad is None else np.concatenate(bad, axis=1))
-
-        def where(el):
-            return {"sig": _sig_str(s), "element": str(T.elements[s][el])}
-
-        def violation(el, col, lhs, rhs):
-            if col == 0:
-                return "sigma-identity", where(el), T.elements[s][lhs], T.elements[s][rhs]
-            p, q = pairs[col - 1]
-            els = T.elements[then[col - 1].out_sig]
-            return "sigma-functoriality", {**where(el), "p": p, "q": q}, els[lhs], els[rhs]
+            return np.concatenate(lhs, axis=1), np.concatenate(rhs, axis=1)
 
         def replay(el, col):
             element = T.elements[s][el]
+            where = {"sig": _sig_str(s), "element": str(element)}
             if col == 0:
                 got = P.sigma(element, s, ident)
-                return ("sigma-identity", where(el), got, element) if got != element else None
+                return ("sigma-identity", where, got, element) if got != element else None
             p, q = pairs[col - 1]
             one = P.sigma(P.sigma(element, s, p), _permuted(s, p), q)
             two = P.sigma(element, s, perm_compose(p, q))
-            return ("sigma-functoriality", {**where(el), "p": p, "q": q}, one, two) if one != two else None
+            return ("sigma-functoriality", {**where, "p": p, "q": q}, one, two) if one != two else None
 
-        for found in _scan(T, T.size(s), 1 + len(pairs), evaluate, violation, replay):
+        for found in _scan(T, T.size(s), 1 + len(pairs), evaluate, replay, regular):
             report.add(*found)
         report.checked += T.size(s) * (1 + len(pairs))
 
@@ -529,64 +470,47 @@ def _check_equivariance(T, report, instances):
                 where = {"slot": slot, "perm": tau}
                 laws.append(_Column("child-equivariance", where, 1 + slot, act, lhs, lhs.strides, perm))
         rhs_tables = [T.sigma(base_sig, law.perm) for law in laws]
-        irregular = any(t.irregular for t in (A, *rhs_tables, *(x for law in laws for x in (law.act, law.lhs))))
+        regular = not any(t.irregular for t in (A, *rhs_tables, *(x for law in laws for x in (law.act, law.lhs))))
         column = T.column
         operand = column([law.operand for law in laws])
         s_off = column([law.act.offset for law in laws])
-        s_size = column([law.lhs.shape[law.operand] for law in laws])
         c_off = column([law.lhs.offset for law in laws])
         c_step = [column([law.strides[j] for law in laws]) for j in range(n + 1)]
         a_step = column([law.strides[law.operand] for law in laws])
-        r_off = column([t.offset for t in rhs_tables])
-        b_size, cells = T.size(base_sig), T.cells
+        r_off, cells = column([t.offset for t in rhs_tables]), T.cells
 
         def evaluate(r0, r1, c0, c1):
             fg = np.arange(r0, r1)
             pick = slice(c0, c1)
             xs = np.stack([fg // st % m for st, m in zip(A.strides, A.shape)], axis=1)
-            base = cells[A.offset + fg][:, None]
             x = xs[:, operand[pick]]
-            acted = cells[s_off[pick] + x]
-            if irregular:
-                b_ok, base = T.valid(base, b_size)
-                ok, acted = T.valid(acted, s_size[pick])
-            at = c_off[pick] + (acted - x) * a_step[pick]
+            at = c_off[pick] + (cells[s_off[pick] + x] - x) * a_step[pick]
             for j in range(n + 1):
                 at = at + xs[:, j, None] * c_step[j][pick]
-            lhs, rhs = cells[at], cells[r_off[pick] + base]
-            bad = ~b_ok | ~ok | (lhs < 0) | (rhs < 0) if irregular else None
-            return lhs, rhs, bad
+            return cells[at], cells[r_off[pick] + cells[A.offset + fg][:, None]]
 
-        def unpack(fg, col):
+        def replay(fg, col):
             f, *gs = np.unravel_index(fg, A.shape)
             law, extra = laws[col].law, laws[col].where
             f = T.elements[ps][f]
             gs = [T.elements[s][g] for s, g in zip(cs, gs)]
-            where = {"parent": _sig_str(ps), **extra}
-            if law == "parent-equivariance":
-                where["f"] = str(f)
-            return f, gs, law, where
-
-        def violation(fg, col, lhs, rhs):
-            _, _, law, where = unpack(fg, col)
-            els = T.elements[rhs_tables[col].out_sig]
-            return law, where, els[lhs], els[rhs]
-
-        def replay(fg, col):
-            f, gs, law, where = unpack(fg, col)
             base = P.compose(f, ps, gs, list(cs))
             if law == "parent-equivariance":
-                p = where["perm"]
+                p = extra["perm"]
                 lhs = P.compose(P.sigma(f, ps, p), _permuted(ps, p), [gs[i] for i in p], [cs[i] for i in p])
             else:
-                slot, tau = where["slot"], where["perm"]
+                slot, tau = extra["slot"], extra["perm"]
                 gs[slot] = P.sigma(gs[slot], cs[slot], tau)
                 sigs_t = cs[:slot] + (_permuted(cs[slot], tau),) + cs[slot + 1 :]
                 lhs = P.compose(f, ps, gs, list(sigs_t))
             rhs = P.sigma(base, base_sig, laws[col].perm)
-            return (law, where, lhs, rhs) if lhs != rhs else None
+            if lhs != rhs:
+                where = {"parent": _sig_str(ps), **extra}
+                if law == "parent-equivariance":
+                    where["f"] = str(f)
+                return law, where, lhs, rhs
 
-        for found in _scan(T, math.prod(A.shape), len(laws), evaluate, violation, replay):
+        for found in _scan(T, math.prod(A.shape), len(laws), evaluate, replay, regular):
             report.add(*found)
         report.checked += math.prod(A.shape) * len(laws)
 
@@ -622,12 +546,15 @@ def check_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
     """The body of ``dendroidal.verify_operad_isomorphism``: the element
     maps by (inputs, output), the instance count and the failures.
 
-    Each P signature's elements map to one array of Q ids (`image`).  An
-    instance compares P's table, read through the image of its result, with
-    Q's table read at the images.  One that reads a raised cell, a value
-    outside P's hom-sets or an image outside Q's is recomputed by scalar
-    calls; so are the instances below the budget in the grid that crosses
-    it, before the budget error."""
+    Each P signature's elements map to one array of Q ids (`image`),
+    `_IRREGULAR` where an image lies outside Q's hom-set.  On a regular
+    grid an instance compares P's table, read through the image of its
+    result, with Q's table read at the images, and only the instances that
+    differ are recomputed by scalar calls.  A grid that reads a raised cell,
+    a value outside P's hom-sets or an image outside Q's is recomputed
+    whole, and so are the instances below the budget in the grid that
+    crosses it, before the budget error.  Every failure comes from a
+    recomputation."""
     failures, checks, limit = [], 0, resolve_budget(budget)
     sigs = P.nonempty_signatures(arity_bound, budget=budget)
     instances = composition_instances(P, arity_bound, sigs)
@@ -660,15 +587,12 @@ def check_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
         q_ps, *q_cs = map(translate, axes)
         shape = tuple(map(PT.size, axes))
 
-        def failure(i):
-            f, *gs = (str(PT.elements[s][k]) for s, k in zip(axes, np.unravel_index(i, shape)))
-            return {"law": "composition", "parent": str(ps), "f": f, "gs": gs}
-
         def replay(i):
             f, *gs = (PT.elements[s][k] for s, k in zip(axes, np.unravel_index(i, shape)))
             value = P.compose(f, ps, gs, list(cs))
             q_value = Q.compose(maps[ps][f], q_ps, [maps[s][g] for s, g in zip(cs, gs)], q_cs)
-            return None if value in result and result[value] == q_value else failure(i)
+            if not (value in result and result[value] == q_value):
+                return {"law": "composition", "parent": str(ps), "f": str(f), "gs": [str(g) for g in gs]}
 
         if checks + math.prod(shape) > limit:
             for i in range(limit - checks):
@@ -676,7 +600,7 @@ def check_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
             raise BudgetExceeded("isomorphism composition checks", max(checks, limit) + 1, limit)
         checks += math.prod(shape)
         compared = _compared(PT, QT, PT.compose(ps, cs), QT.compose(q_ps, tuple(q_cs)), axes, image)
-        failures.extend(_failures(*compared, failure, replay))
+        failures.extend(_failures(compared, math.prod(shape), replay))
 
     for sig in sigs:
         if sig.arity < 2:
@@ -684,39 +608,34 @@ def check_isomorphism(P, Q, color_map, element_map, arity_bound, budget=None):
         q_sig, perms = translate(sig), list(itertools.permutations(range(sig.arity)))
         columns = [_compared(PT, QT, PT.sigma(sig, p), QT.sigma(q_sig, p), (sig,), image) for p in perms]
 
-        def failure(i):
-            return {"law": "symmetry", "signature": str(sig), "perm": perms[i % len(perms)]}
-
         def replay(i):
             el, perm = PT.elements[sig][i // len(perms)], perms[i % len(perms)]
             lhs = element_map(_permuted(sig, perm), P.sigma(el, sig, perm))
-            return failure(i) if lhs != Q.sigma(maps[sig][el], q_sig, perm) else None
+            if lhs != Q.sigma(maps[sig][el], q_sig, perm):
+                return {"law": "symmetry", "signature": str(sig), "perm": perm}
 
-        failures.extend(_failures(*(np.stack(x, axis=1) for x in zip(*columns)), failure, replay))
+        compared = None if any(c is None for c in columns) else [np.stack(x, axis=1) for x in zip(*columns)]
+        failures.extend(_failures(compared, PT.size(sig) * len(perms), replay))
         checks += PT.size(sig) * len(perms)
     return {(s.inputs, s.output): table for s, table in maps.items()}, checks, failures
 
 
 def _compared(PT, QT, A, B, axes, image):
-    """P's table `A` read through the image of its values, Q's table `B`
-    read at the images of the positions along `axes`, and the mask of the
-    instances that read a raised cell, a value outside P's hom-sets or an
-    image outside Q's."""
-    held, at = True, B.offset
-    for s, n, stride in zip(axes, B.shape, B.strides):
-        ok, ids = QT.valid(image[s], n)
-        held, at = np.logical_and.outer(held, ok), np.add.outer(at, ids * stride)
-    ok, ids = PT.valid(PT.cells[A.offset : A.offset + at.size].reshape(at.shape), PT.size(A.out_sig))
-    rhs = QT.cells[at]
-    # where no value lies in P's hom-set, there may be no image to read
-    return image[A.out_sig][ids] if ok.any() else rhs, rhs, ~ok | ~held | (rhs < 0)
+    """P's table `A` read through the image of its values and Q's table `B`
+    read at the images of the positions along `axes`, or None when a table
+    is irregular or an image it reads lies outside Q's hom-sets."""
+    if A.irregular or B.irregular or any((image[s] < 0).any() for s in (*axes, A.out_sig)):
+        return None
+    at = B.offset
+    for s, stride in zip(axes, B.strides):
+        at = np.add.outer(at, image[s] * stride)
+    lhs = image[A.out_sig][PT.cells[A.offset : A.offset + at.size].reshape(at.shape)]
+    return lhs, QT.cells[at]
 
 
-def _failures(lhs, rhs, bad, failure, replay):
-    """In row-major order, `failure(i)` for each instance whose sides
-    differ and what `replay(i)` returns for each instance in `bad`, unless
-    None."""
-    for i in map(int, np.flatnonzero(bad | (lhs != rhs))):
-        found = replay(i) if bad.flat[i] else failure(i)
-        if found:
-            yield found
+def _failures(compared, n, replay):
+    """What `replay(i)` returns, unless None, in row-major order: for each
+    instance whose sides differ in `compared`, a (lhs, rhs) pair of id
+    arrays, or for each of the `n` instances when `compared` is None."""
+    hits = range(n) if compared is None else np.flatnonzero(np.not_equal(*compared)).tolist()
+    return filter(None, map(replay, hits))

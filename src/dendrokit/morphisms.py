@@ -176,14 +176,18 @@ class OmegaMorphism:
         self.source = source
         self.target = target
         self._map = dict(edge_map)
-        if set(self._map) != set(source.edges):
+        try:
+            self._items = tuple(self._map[e] for e in source.edges)
+            total = len(self._map) == len(self._items)
+        except KeyError:
+            total = False
+        if not total:
             raise DomainError("edge map is not total on the source tree")
         if not _checked and not validate_morphism(source, target, self._map):
             raise DomainError(
                 "edge map is not a morphism of trees",
                 {"source": source.term, "target": target.term},
             )
-        self._items = tuple(self._map[e] for e in source.edges)
 
     @property
     def map(self):

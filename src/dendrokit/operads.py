@@ -373,6 +373,8 @@ class Collection:
 
     def __post_init__(self):
         self.levels = {n: tuple(v) for n, v in self.levels.items() if len(v) > 0}
+        if any(n < 0 for n in self.levels):
+            raise DomainError("generator arity must be >= 0", {"arities": sorted(self.levels)})
         if self.action is None:
             self.action = lambda n, perm, el: el
 

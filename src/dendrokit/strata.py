@@ -326,6 +326,8 @@ def _psi_count(k):
 def stratum_dim(t: LabelledTree, ambient: int) -> int:
     """Dimension of the stratum indexed by `t` in ambient dimension n:
     the sum over vertices of n*(valence-2) - 1."""
+    if ambient < 1:
+        raise DomainError("ambient dimension must be >= 1", {"n": ambient})
     return sum(ambient * (val - 2) - 1 for val in t.valences())
 
 
@@ -530,6 +532,10 @@ def fm_selftest(seed=0, trials=1000, k=4, ambient=3, tol_exact=1e-12, tol_gauge=
     scalings within `tol_gauge`, and that collision families along a line
     drive the relevant ratio monotonically to zero.
     """
+    if trials < 1:
+        raise DomainError("trials must be >= 1", {"trials": trials})
+    if seed < 0:
+        raise DomainError("seed must be >= 0", {"seed": seed})
     import numpy as np
 
     rng = np.random.default_rng(seed)

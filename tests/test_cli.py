@@ -5,8 +5,12 @@ import sys
 import time
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dendrokit.fixtures import load_fixture_json
+from dendrokit.cli import main
+from dendrokit.fixtures import BUILTIN_OPERADS, BUNDLED_FILES, load_fixture_json
 from dendrokit.operads import TableOperad, check_operad_axioms
 from dendrokit.trees import MAX_TREE_DEPTH
 
@@ -324,6 +328,12 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "budget exceeded"
 
+    @pytest.mark.parametrize("command", ["psi", "boundary-index"])
+    def test_json_and_dot_together(self, command):
+        proc = run(command, "3", "--json", "--dot", check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "--json / --dot" in proc.stderr
+
     def test_budget_env_override(self):
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = "0"
@@ -383,6 +393,32 @@ class TestInputErrors:
         payload = self.error_of("fm-embed", "--points", str(path))
         assert payload == {"error": "points must be finite", "detail": {}}
 
+    MEANINGLESS = [
+        (("psi", "3", "--ambient", "0"), "ambient dimension must be >= 1", {"n": 0}),
+        (("psi", "3", "--dot", "--ambient", "0"), "ambient dimension must be >= 1", {"n": 0}),
+        (("psi", "3", "--json", "--ambient", "0"), "ambient dimension must be >= 1", {"n": 0}),
+        (("boundary-index", "3", "--dot", "--ambient", "-2"), "ambient dimension must be >= 1", {"n": -2}),
+        (("fm-embed", "--selftest", "--trials", "-5"), "trials must be >= 1", {"trials": -5}),
+        (("fm-embed", "--selftest", "--trials", "0"), "trials must be >= 1", {"trials": 0}),
+        (("fm-embed", "--selftest", "--seed", "-1"), "seed must be >= 0", {"seed": -1}),
+        (("operad", "build-free", "--level", "-1=1"), "generator arity must be >= 0", {"arities": [-1]}),
+        (
+            ("reconstruct", "--dendroidal", "com.operad.json"),
+            "malformed dendroidal set JSON",
+            {"field": ["trees"], "problem": "missing"},
+        ),
+        (("operad", "check", "trees.json"), "malformed operad JSON", {"field": ["colors"], "problem": "missing"}),
+        (
+            ("segal-check", "--operad", ""),
+            "operad not found",
+            {"spec": "", "builtins": list(BUILTIN_OPERADS), "bundled": list(BUNDLED_FILES)},
+        ),
+    ]
+
+    @pytest.mark.parametrize("args,error,detail", MEANINGLESS, ids=[" ".join(case[0]) for case in MEANINGLESS])
+    def test_meaningless_operands(self, args, error, detail):
+        assert self.error_of(*args) == {"error": error, "detail": detail}
+
     # the commands that read an operad or a dendroidal set from a file
     FILE_COMMANDS = [
         ("segal-check", "--dendroidal"),
@@ -423,6 +459,14 @@ class TestInputErrors:
             ("dendroidal set", dendroidal_field) if "--dendroidal" in command else ("operad", operad_field)
         )
         assert payload == {"error": f"malformed {kind} JSON", "detail": {"field": field, "problem": problem}}
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS + [("fm-embed", "--points"), ("factorize",)], ids=" ".join)
+    def test_undecodable_file(self, tmp_path, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        payload = self.error_of(*command, str(path))
+        assert payload["error"] == "cannot read input file"
+        assert payload["detail"]["path"] == str(path)
 
     @pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
     def test_missing_file(self, tmp_path, command):
@@ -484,3 +528,101 @@ def test_deterministic_across_hashseed_and_workers(args):
     ]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0] != ""
+
+
+# -- fuzzed invocations --------------------------------------------------------------
+
+_NUMBERS = st.integers(-3, 6).map(str)
+_TREES = st.one_of(
+    st.sampled_from(["*", "()", "(**)", "(*(**))", "(()*)", "chapter1_example", "reduced_corolla_2"]),
+    st.text("()*@a,", max_size=10),
+)
+# operands that name nothing, a builtin, a bundled file, or the file
+# `input.json` that each example writes
+_SPECS = st.sampled_from(
+    ["com", "ass", "end01", "free-binary", "com.operad.json", "corrupted.dendroidal.json",
+     "input.json", "-", "absent.json", ""]
+)
+_FILE_TEXT = st.one_of(
+    st.sampled_from([
+        "", "{", "[1,2]", "null", '{"trees":["*"],"values":{},"actions":[]}', '{"colors":["x"]}',
+        '{"points":[[0,0],[1,2],[3,1]]}', "[[0,0],[1,NaN]]", "0 0\n1 2\n3 x",
+        '{"source_key":"*","target_key":"*","edge_map":{}}', '{"source_key":"*","target_key":"*","edge_map":{"":""}}',
+    ]),
+    st.text(max_size=20),
+).map(str.encode) | st.binary(max_size=20)
+# DENDRO_BUDGET is always set: the default budget admits jobs that run past
+# 20 s (`operad check ass --arity-bound 6`, `enum-trees --max-vertices 6
+# --max-inputs 6`), while 10**5 keeps each command well under a second
+_BUDGETS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.integers(10**3, 10**5).map(str),
+    st.sampled_from(["", "abc", "1e6", "1.5", " 7 ", "0x10"]),
+)
+
+
+@st.composite
+def _invocation(draw):
+    """A command line: a command, its operands and a random choice of its
+    options and flags."""
+
+    def options(*pairs, flags=()):
+        args = []
+        for name, values in pairs:
+            for _ in range(draw(st.integers(0, 2 if name in ("--tree", "--level") else 1))):
+                args += [name, draw(values)]
+        return args + [flag for flag in flags if draw(st.booleans())]
+
+    out = ["--json", "--count"]
+    commands = {
+        "enum-trees": lambda: options(("--max-edges", _NUMBERS), ("--max-vertices", _NUMBERS),
+                                      ("--max-inputs", _NUMBERS), flags=("--reduced", *out)),
+        "hom": lambda: [draw(_TREES), draw(_TREES)] + options(("--max-maps", _NUMBERS), flags=out),
+        "faces": lambda: [draw(_TREES)] + options(flags=out[:1]),
+        "factorize": lambda: [draw(_SPECS | _FILE_TEXT.map(lambda b: b.decode(errors="replace")))],
+        "subtrees": lambda: [draw(_TREES)] + options(flags=out),
+        "classify": lambda: [draw(_TREES)] + options(flags=out[:1]),
+        "operad check": lambda: [draw(_SPECS)] + options(("--arity-bound", _NUMBERS)),
+        "operad show": lambda: [draw(_SPECS)] + options(("--arity-bound", _NUMBERS)),
+        "operad build-free": lambda: options(
+            ("--level", st.one_of(st.builds("{}={}".format, _NUMBERS, _NUMBERS), st.text("=2x", max_size=4))),
+            ("--arity-bound", _NUMBERS), flags=out[:1]),
+        "nerve": lambda: [draw(_SPECS)] + options(("--tree", _TREES), ("--max-vertices", _NUMBERS),
+                                                  ("--max-inputs", _NUMBERS), flags=("--counts",)),
+        "segal-check": lambda: options(("--operad", _SPECS), ("--dendroidal", _SPECS), ("--tree", _TREES),
+                                       ("--max-vertices", _NUMBERS), ("--max-inputs", _NUMBERS)),
+        "reconstruct": lambda: options(("--operad", _SPECS), ("--dendroidal", _SPECS),
+                                       ("--arity-bound", _NUMBERS), flags=("--round-trip",)),
+        "psi": lambda: [draw(_NUMBERS)] + options(("--ambient", _NUMBERS), flags=(*out, "--dot")),
+        "boundary-index": lambda: [draw(_NUMBERS)] + options(("--ambient", _NUMBERS), flags=(*out, "--dot")),
+        "cobound-index": lambda: [draw(_NUMBERS)] + options(flags=out),
+        # the self-test runs 1000 trials unless told otherwise
+        "fm-embed": lambda: ["--trials", draw(_NUMBERS)] + options(("--points", _SPECS), ("--seed", _NUMBERS),
+                                                                  flags=("--selftest",)),
+        "connectivity": lambda: options(("--n", _NUMBERS), ("--d", _NUMBERS), ("--k", _NUMBERS),
+                                        ("--table", _NUMBERS), flags=out[:1]),
+    }
+    command = draw(st.sampled_from(sorted(commands)))
+    workers = options(("--workers", _NUMBERS))
+    return workers + command.split() + commands[command]()
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(args=_invocation(), text=_FILE_TEXT, budget=_BUDGETS)
+def test_fuzzed_commands_end_cleanly(args, text, budget):
+    """Every command, on random and malformed operands and small or
+    negative numbers, exits 0, 1 or 2 without a traceback; exit 1 ends
+    stderr with a JSON error and --json output parses."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("input.json", "wb") as fh:
+            fh.write(text)
+        result = runner.invoke(main, args, input=text, env={"DENDRO_BUDGET": budget})
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+    assert "Traceback" not in result.stderr
+    if result.exit_code == 1:
+        payload = json.loads(result.stderr.splitlines()[-1])
+        assert isinstance(payload, dict) and {"error", "detail"} <= set(payload), args
+    elif result.exit_code == 0 and "--json" in args:
+        json.loads(result.stdout)

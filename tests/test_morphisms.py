@@ -153,6 +153,17 @@ class TestValidateAndHom:
                     composite = f.then(g)
                     assert validate_morphism(a, b, composite.map)
 
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_partial_or_extra_edge_map_is_not_total(self, checked):
+        t = parse_tree("(*(**))")
+        identity = {e: e for e in t.edges}
+        missing = dict(list(identity.items())[1:])
+        extra = {**identity, (9,): ()}
+        for edge_map in (missing, extra, {}):
+            with pytest.raises(DomainError, match="not total"):
+                OmegaMorphism(t, t, edge_map, _checked=checked)
+        assert OmegaMorphism(t, t, identity, _checked=checked).map == identity
+
     def test_deterministic_order(self):
         t = parse_tree("(*(**))")
         once = [m.map for m in hom_set(corolla(2), t)]

@@ -10,6 +10,7 @@ from dendrokit.errors import BudgetExceeded, DomainError
 from dendrokit.fixtures import load_operad
 from dendrokit.morphisms import hom_set, operation_exists
 from dendrokit.operads import (
+    AssOperad,
     Collection,
     Signature,
     TableOperad,
@@ -182,6 +183,15 @@ def _corrupted(table):
     raise AssertionError("no composition entry can be corrupted")
 
 
+class _OutsideAss(AssOperad):
+    """Ass with one composite replaced by a value outside its hom-set that
+    later compositions still accept without raising."""
+
+    def compose(self, parent, parent_sig, children, child_sigs):
+        value = super().compose(parent, parent_sig, children, child_sigs)
+        return (0, 0, 0) if value == (2, 1, 0) else value
+
+
 def _without_entry(table, key):
     comp = dict(table._comp)
     del comp[key]
@@ -228,6 +238,7 @@ class TestCheckerMatchesOracle:
         "table-end01-2": lambda: (load_operad("end01.operad.json"), 2),
         "corrupted-ass-3": lambda: (_corrupted(load_operad("ass.operad.json")), 3),
         "corrupted-end01-2": lambda: (_corrupted(load_operad("end01.operad.json")), 2),
+        "corrupted-outside-ass-3": lambda: (_OutsideAss(4), 3),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
