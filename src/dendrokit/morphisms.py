@@ -24,11 +24,21 @@ Subtree inclusions are built valid as well: an edge subset only ever leaves
 out closed branches, so no candidate is validated and dropped.  Extended
 corollas are read off the degeneracy chain of `shorten`.
 
-Three memos share one bound, ``_CACHE_SIZE`` entries each: the operation
-input sets and the elementary faces per tree, and the degeneracy per (tree,
-unary vertex), so `factorize`, `degeneracies`, `shorten`, the dendroidal
-carrier closure and `materialize` collapse each pair once.  Memoized
-morphisms are shared; `OmegaMorphism.map` hands out a copy of the edge map.
+Three memos share one bound, ``_CACHE_SIZE`` entries each, and nothing
+per tree is rebuilt per call:
+
+- the operation table of a tree: for every edge its input sets in order,
+  as a frozenset for membership (`validate_morphism`, `TreeOperad`) and
+  grouped by arity (`hom_set`);
+- the elementary faces of a tree, each with its image and its inverse
+  edge map, which `factorize` peels against;
+- the degeneracy per (tree, unary vertex), so `factorize`, `degeneracies`,
+  `shorten`, the dendroidal carrier closure and `materialize` collapse each
+  pair once.
+
+Memoized morphisms are shared; `OmegaMorphism.map` hands out a copy of the
+edge map.  `hom_set` builds each map as one tuple of images and a
+factorization's composite is checked as one composed edge map.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, charge
 from .trees import (
@@ -48,7 +59,7 @@ from .trees import (
     reduced_corolla,
 )
 
-# Bound on the per-tree memos (operation input sets, elementary faces,
+# Bound on the per-tree memos (operation tables, elementary faces,
 # degeneracies); it stays above the largest carrier the library enumerates
 # by default.
 _CACHE_SIZE = 4096
@@ -133,9 +144,20 @@ def _op_exists(t, output, inputs):
     return OpWitness(output, inputs, tuple(children), perm)
 
 
+class _EdgeOperations(NamedTuple):
+    """The operations (I; e) of a tree's operad into one edge `e`, by input
+    set: ``sets`` in order of their sorted tuples, ``members`` for
+    membership and ``by_arity`` mapping each size to its sorted tuples, in
+    the order of ``sets``."""
+
+    sets: tuple
+    members: frozenset
+    by_arity: dict
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _input_sets(t: Tree):
-    """For every edge `e`: the frozensets I carrying an operation (I; e).
+    """The operation table of `t`: an `_EdgeOperations` for every edge.
 
     The identity set {e} is always present.  The empty set is present
     exactly when the branch above `e` is closed: stumps contribute it as the
@@ -145,15 +167,22 @@ def _input_sets(t: Tree):
 
     def rec(e):
         if e in table:
-            return table[e]
+            return table[e].members
         sets = {frozenset({e})}
         if not t.is_leaf(e):
             options = [rec(c) for c in t.children(e)]
             for combo in itertools.product(*options):
                 sets.add(frozenset().union(*combo))
-        result = tuple(sorted(sets, key=lambda s: tuple(sorted(s))))
-        table[e] = result
-        return result
+        ordered = sorted((tuple(sorted(s)), s) for s in sets)
+        by_arity = {}
+        for key, _ in ordered:
+            by_arity.setdefault(len(key), []).append(key)
+        table[e] = _EdgeOperations(
+            tuple(s for _, s in ordered),
+            frozenset(sets),
+            {n: tuple(keys) for n, keys in by_arity.items()},
+        )
+        return table[e].members
 
     for e in t.edges:
         rec(e)
@@ -188,6 +217,17 @@ class OmegaMorphism:
                 "edge map is not a morphism of trees",
                 {"source": source.term, "target": target.term},
             )
+
+    @classmethod
+    def _from_images(cls, source: Tree, target: Tree, images):
+        """The map sending ``source.edges[i]`` to ``images[i]``, taken as
+        valid and total without checking."""
+        m = cls.__new__(cls)
+        m.source = source
+        m.target = target
+        m._items = images
+        m._map = dict(zip(source.edges, images))
+        return m
 
     @property
     def map(self):
@@ -270,10 +310,9 @@ def validate_morphism(source: Tree, target: Tree, edge_map) -> bool:
     """True iff every source vertex lands on an operation of the target."""
     if set(edge_map) != set(source.edges):
         return False
-    target_edges = set(target.edges)
-    if any(v not in target_edges for v in edge_map.values()):
+    table = _input_sets(target)
+    if any(v not in table for v in edge_map.values()):
         return False
-    sets = _input_sets(target)
     for v in source.vertices:
         sig = [edge_map[c] for c in source.children(v)]
         if len(set(sig)) != len(sig):
@@ -281,7 +320,7 @@ def validate_morphism(source: Tree, target: Tree, edge_map) -> bool:
             return False
         if sig == [edge_map[v]]:
             continue
-        if frozenset(sig) not in set(sets[edge_map[v]]):
+        if frozenset(sig) not in table[edge_map[v]].members:
             return False
     return True
 
@@ -295,22 +334,20 @@ def hom_set(source: Tree, target: Tree, budget=None):
     The enumeration recurses over the source tree, choosing for every vertex
     an operation of the target with matching arity, so the naive
     ``|edges(target)| ** |edges(source)|`` space is never materialized; that
-    proxy is still what the budget bounds and reports.
+    proxy is still what the budget bounds and reports.  A branch yields the
+    images of its edges in source preorder, which is how the source edges of
+    a whole map are ordered too, so each map is one tuple of images.
     """
     charge("hom_set", len(target.edges) ** len(source.edges), budget)
-    sets = _input_sets(target)
-    by_arity = {}
-    for e, ss in sets.items():
-        for iset in ss:
-            by_arity.setdefault((e, len(iset)), []).append(tuple(sorted(iset)))
+    table = _input_sets(target)
 
     def branch(s_addr, t_addr):
-        base = {s_addr: t_addr}
+        head = (t_addr,)
         if source.is_leaf(s_addr):
-            return [base]
+            return [head]
         kids = source.children(s_addr)
         out = []
-        for iset in by_arity.get((t_addr, len(kids)), []):
+        for iset in table[t_addr].by_arity.get(len(kids), ()):
             for assignment in itertools.permutations(iset):
                 subs = []
                 for kid, tgt in zip(kids, assignment):
@@ -320,17 +357,14 @@ def hom_set(source: Tree, target: Tree, budget=None):
                     subs.append(sub)
                 else:
                     for combo in itertools.product(*subs):
-                        m = dict(base)
-                        for d in combo:
-                            m.update(d)
-                        out.append(m)
+                        out.append(head + tuple(itertools.chain.from_iterable(combo)))
         return out
 
     results = []
     for t_addr in target.edges:
         results.extend(branch((), t_addr))
-    results.sort(key=lambda m: tuple(m[e] for e in source.edges))
-    return [OmegaMorphism(source, target, m, _checked=True) for m in results]
+    results.sort()
+    return [OmegaMorphism._from_images(source, target, images) for images in results]
 
 
 # -- faces and degeneracies --------------------------------------------------
@@ -491,6 +525,8 @@ def _face_candidates(t: Tree):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _faces(t: Tree):
+    """The elementary faces of `t` in order, each with its image and its
+    inverse edge map (target address -> source address)."""
     # the key is the canonical unlabelled term, so edge addresses carry over
     shape = parse_tree(t.key) if t.labels else t
     found = {}
@@ -500,8 +536,10 @@ def _faces(t: Tree):
     faces = []
     for okey in sorted(found):
         source, contracted = found[okey]
-        rep = OmegaMorphism(source, t, dict(zip(source.edges, okey[1])), _checked=True)
-        faces.append(Face(rep, "outer" if contracted is None else "inner", contracted))
+        images = okey[1]
+        rep = OmegaMorphism(source, t, dict(zip(source.edges, images)), _checked=True)
+        face = Face(rep, "outer" if contracted is None else "inner", contracted)
+        faces.append((face, frozenset(images), dict(zip(images, source.edges))))
     return tuple(faces)
 
 
@@ -517,7 +555,7 @@ def elementary_faces(t: Tree):
     is the lexicographically least map in its orbit.  Nothing is enumerated,
     so nothing is charged.
     """
-    return list(_faces(t))
+    return [face for face, _, _ in _faces(t)]
 
 
 # -- factorization -----------------------------------------------------------
@@ -533,11 +571,16 @@ class Factorization:
     faces: list
 
     def composite(self) -> OmegaMorphism:
+        """The composite of the chain, built as one edge map; each step must
+        start where the previous one ends."""
         chain = self.degeneracies + [self.isomorphism] + [f.morphism for f in self.faces]
-        out = chain[0]
+        first = chain[0]
+        target, images = first.target, first._items
         for step in chain[1:]:
-            out = out.then(step)
-        return out
+            if target != step.source:
+                raise DomainError("morphisms are not composable")
+            target, images = step.target, tuple(map(step._map.__getitem__, images))
+        return OmegaMorphism._from_images(first.source, target, images)
 
     def to_json(self):
         return {
@@ -562,14 +605,12 @@ def factorize(m: OmegaMorphism) -> Factorization:
         if collapsible is None:
             break
         sigma = degeneracy_at(current.source, collapsible)
-        fibers = {}
-        for e in current.source.edges:
-            fibers.setdefault(sigma(e), set()).add(current(e))
         new_map = {}
-        for e2, values in fibers.items():
-            if len(values) != 1:
+        # both image tuples follow the source edges, so this pairs each
+        # collapsed edge with the images of its fiber
+        for e2, image in zip(sigma._items, current._items):
+            if new_map.setdefault(e2, image) != image:
                 raise DomainError("inconsistent collapse in factorization")
-            new_map[e2] = values.pop()
         degs.append(sigma)
         current = OmegaMorphism(sigma.target, m.target, new_map, _checked=True)
     if not current.is_injective():
@@ -591,15 +632,14 @@ def _peel(g: OmegaMorphism):
     if g.is_isomorphism():
         return [], g
     g_image = g.image()
-    for face in elementary_faces(g.target):
-        delta = face.morphism
-        if not g_image <= delta.image():
+    for face, image, inverse in _faces(g.target):
+        if not g_image <= image:
             continue
-        inv = {t_addr: s_addr for s_addr, t_addr in delta.map.items()}
-        lift_map = {e: inv[g(e)] for e in g.source.edges}
-        if not validate_morphism(g.source, delta.source, lift_map):
+        lift = OmegaMorphism._from_images(
+            g.source, face.morphism.source, tuple(map(inverse.__getitem__, g._items))
+        )
+        if not validate_morphism(lift.source, lift.target, lift._map):
             continue
-        lift = OmegaMorphism(g.source, delta.source, lift_map, _checked=True)
         sub = _peel(lift)
         if sub is not None:
             chain, iso = sub
@@ -670,7 +710,7 @@ def subtrees(t: Tree, budget=None):
     vertex a child branch may be left out only when it is closed, i.e. when
     the empty input set carries an operation into it."""
     charge("subtrees", 2 ** len(t.edges), budget)
-    closed = {e for e, sets in _input_sets(t).items() if frozenset() in sets}
+    closed = {e for e, ops in _input_sets(t).items() if frozenset() in ops.members}
 
     def rooted(e):
         if t.is_leaf(e):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, DomainError, charge
+from .errors import BudgetExceeded, DomainError, charge, resolve_budget
 from .morphisms import _input_sets
 from .trees import Tree
 
@@ -296,7 +296,7 @@ class TreeOperad(FiniteOperad):
     def __init__(self, tree: Tree):
         self.tree = tree
         self.colors = tree.edges
-        self._sets = {e: set(map(frozenset, s)) for e, s in _input_sets(tree).items()}
+        self._table = _input_sets(tree)
 
     def hom(self, inputs, output):
         inputs = tuple(inputs)
@@ -304,7 +304,8 @@ class TreeOperad(FiniteOperad):
             return ((inputs, output),)
         if len(set(inputs)) != len(inputs):
             return ()
-        if frozenset(inputs) in self._sets.get(output, set()):
+        ops = self._table.get(output)
+        if ops is not None and frozenset(inputs) in ops.members:
             return ((inputs, output),)
         return ()
 
@@ -327,8 +328,8 @@ class TreeOperad(FiniteOperad):
 
     def nonempty_signatures(self, max_arity, budget=None):
         sigs = []
-        for e, sets in self._sets.items():
-            for iset in sets:
+        for e, ops in self._table.items():
+            for iset in ops.sets:
                 if len(iset) <= max_arity:
                     for perm in itertools.permutations(sorted(iset)):
                         sigs.append(Signature(perm, e))
@@ -340,7 +341,7 @@ class TreeOperad(FiniteOperad):
         """Unordered non-identity signatures with a nonempty hom-set."""
         out = []
         for e in self.tree.edges:
-            for iset in sorted(self._sets[e], key=lambda s: tuple(sorted(s))):
+            for iset in self._table[e].sets:
                 if iset != frozenset({e}):
                     out.append((iset, e))
         return out
@@ -409,7 +410,7 @@ class FreeOperad(FiniteOperad):
     name = "free"
     colors = ("x",)
 
-    def __init__(self, collection: Collection, arity_bound, size_bound=200000):
+    def __init__(self, collection: Collection, arity_bound, size_bound=200000, budget=None):
         if collection.level(0) or collection.level(1):
             raise DomainError(
                 "free operad requires an empty collection in arities 0 and 1"
@@ -417,7 +418,7 @@ class FreeOperad(FiniteOperad):
         self.collection = collection
         self.arity_bound = arity_bound
         self.size_bound = size_bound
-        self._levels = self._build()
+        self._levels = self._build(resolve_budget(budget))
 
     def canonical(self, term):
         if term[0] == "leaf":
@@ -436,7 +437,7 @@ class FreeOperad(FiniteOperad):
             raise DomainError("unknown generator", {"arity": n})
         return self.canonical(("node", gen, tuple(("leaf", i) for i in range(n))))
 
-    def _build(self):
+    def _build(self, budget):
         levels = {1: {("leaf", 0)}}
         worklist = []
 
@@ -480,6 +481,7 @@ class FreeOperad(FiniteOperad):
             total = sum(len(v) for v in levels.values())
             if total > self.size_bound:
                 raise BudgetExceeded("free operad elements", total, self.size_bound)
+            charge("free operad elements", total, budget)
         return {n: tuple(sorted(v, key=_term_serialize)) for n, v in levels.items()}
 
     def level(self, n):
@@ -524,8 +526,10 @@ class FreeOperad(FiniteOperad):
         return _term_serialize(element)
 
 
-def free_operad(collection: Collection, arity_bound, size_bound=200000) -> FreeOperad:
-    return FreeOperad(collection, arity_bound, size_bound)
+def free_operad(collection: Collection, arity_bound, size_bound=200000, budget=None) -> FreeOperad:
+    """The free operad on `collection` up to `arity_bound`; the running
+    element count is charged to `budget` and held under `size_bound`."""
+    return FreeOperad(collection, arity_bound, size_bound, budget)
 
 
 def one_binary_generator():

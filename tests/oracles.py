@@ -41,8 +41,12 @@ The reference extended-corolla test collapses unary vertices until it
 meets the reduced corolla; the library reads the chain of `shorten`.  The
 reference operad-isomorphism check composes every instance in both operads
 and compares the results through the element maps; the library's compares
-the two operads' integer tables.  `edges_above` and `max_operation_arity`
-serve only these oracles.
+the two operads' integer tables.  The reference hom sets merge one dict
+per partial map; the library's build one tuple of images per map.  The
+reference factorization copies and inverts each face's edge map per try
+and composes its chain through one checked `then` per step; the library's
+reads each face's stored image and inverse and composes one edge map.
+`edges_above` and `max_operation_arity` serve only these oracles.
 """
 
 import itertools
@@ -61,6 +65,7 @@ from dendrokit.dendroidal import (
 from dendrokit.errors import BudgetExceeded, DomainError, charge, resolve_budget
 from dendrokit.morphisms import (
     Face,
+    Factorization,
     OmegaMorphism,
     OpWitness,
     SubtreeInclusion,
@@ -68,6 +73,7 @@ from dendrokit.morphisms import (
     _input_sets,
     contract_inner_edge,
     degeneracy_at,
+    elementary_faces,
     factorize,
     hom_set,
     is_reduced,
@@ -233,7 +239,7 @@ def edges_above(t: Tree, addr):
 
 def max_operation_arity(t: Tree) -> int:
     """Largest arity of any operation in the operad generated by `t`."""
-    return max(len(i) for sets in _input_sets(t).values() for i in sets)
+    return max(len(i) for ops in _input_sets(t).values() for i in ops.sets)
 
 
 def in_omega_level(t: Tree, n: int) -> bool:
@@ -627,6 +633,110 @@ def search_elementary_faces(t, budget=None):
         e = contractions.get(okey)
         faces.append(Face(found[okey], "inner" if e is not None else "outer", e))
     return faces
+
+
+# -- hom sets and factorizations by merged dicts -----------------------------------
+
+
+def naive_hom_set(source: Tree, target: Tree):
+    """All morphisms source -> target, one dict per partial map: every
+    branch merges its children's dicts, and the maps are sorted by their
+    images in source preorder."""
+    by_arity = {}
+    for e, ops in _input_sets(target).items():
+        for iset in ops.sets:
+            by_arity.setdefault((e, len(iset)), []).append(tuple(sorted(iset)))
+
+    def branch(s_addr, t_addr):
+        base = {s_addr: t_addr}
+        if source.is_leaf(s_addr):
+            return [base]
+        kids = source.children(s_addr)
+        out = []
+        for iset in by_arity.get((t_addr, len(kids)), []):
+            for assignment in itertools.permutations(iset):
+                subs = []
+                for kid, tgt in zip(kids, assignment):
+                    sub = branch(kid, tgt)
+                    if not sub:
+                        break
+                    subs.append(sub)
+                else:
+                    for combo in itertools.product(*subs):
+                        m = dict(base)
+                        for d in combo:
+                            m.update(d)
+                        out.append(m)
+        return out
+
+    results = []
+    for t_addr in target.edges:
+        results.extend(branch((), t_addr))
+    results.sort(key=lambda m: tuple(m[e] for e in source.edges))
+    return [OmegaMorphism(source, target, m, _checked=True) for m in results]
+
+
+def naive_peel(g: OmegaMorphism):
+    """(faces, isomorphism) with g = faces o isomorphism, trying the
+    elementary faces of the target in order and inverting each one's
+    copied edge map per try."""
+    if g.is_isomorphism():
+        return [], g
+    g_image = g.image()
+    for face in elementary_faces(g.target):
+        delta = face.morphism
+        if not g_image <= delta.image():
+            continue
+        inv = {t_addr: s_addr for s_addr, t_addr in delta.map.items()}
+        lift_map = {e: inv[g(e)] for e in g.source.edges}
+        if not validate_morphism(g.source, delta.source, lift_map):
+            continue
+        lift = OmegaMorphism(g.source, delta.source, lift_map, _checked=True)
+        sub = naive_peel(lift)
+        if sub is not None:
+            chain, iso = sub
+            return chain + [face], iso
+    return None
+
+
+def chained_composite(fact: Factorization) -> OmegaMorphism:
+    """The composite of a factorization as one checked `then` per step."""
+    chain = fact.degeneracies + [fact.isomorphism] + [f.morphism for f in fact.faces]
+    out = chain[0]
+    for step in chain[1:]:
+        out = out.then(step)
+    return out
+
+
+def naive_factorize(m: OmegaMorphism) -> Factorization:
+    """Degeneracies collapsed through fiber sets, faces peeled by
+    `naive_peel` and the composite checked through `chained_composite`."""
+    degs = []
+    current = m
+    while True:
+        collapsible = None
+        for v in current.source.vertices:
+            kids = current.source.children(v)
+            if len(kids) == 1 and current(kids[0]) == current(v):
+                collapsible = v
+                break
+        if collapsible is None:
+            break
+        sigma = degeneracy_at(current.source, collapsible)
+        fibers = {}
+        for e in current.source.edges:
+            fibers.setdefault(sigma(e), set()).add(current(e))
+        new_map = {}
+        for e2, values in fibers.items():
+            assert len(values) == 1
+            new_map[e2] = values.pop()
+        degs.append(sigma)
+        current = OmegaMorphism(sigma.target, m.target, new_map, _checked=True)
+    assert current.is_injective()
+    chain, iso = naive_peel(current)
+    fact = Factorization(degs, iso, chain)
+    assert chained_composite(fact) == m
+    return fact
 
 
 # -- the strict-Segal check on value tuples -------------------------------------

@@ -328,6 +328,21 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "budget exceeded"
 
+    def test_free_operad_budget(self):
+        env = dict(os.environ, PYTHONHASHSEED="0", DENDRO_BUDGET="0")
+        proc = subprocess.run(
+            CLI + ["operad", "build-free", "--level", "2=3", "--arity-bound", "4"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "budget exceeded"
+        assert payload["detail"]["operation"] == "free operad elements"
+        assert payload["detail"]["budget"] == 0
+
     @pytest.mark.parametrize("command", ["psi", "boundary-index"])
     def test_json_and_dot_together(self, command):
         proc = run(command, "3", "--json", "--dot", check=False)

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import oracles
+from dendrokit import morphisms
 from dendrokit.errors import BudgetExceeded, DomainError
 from dendrokit.morphisms import (
+    Factorization,
     OmegaMorphism,
     _orbit_key,
     classify,
@@ -291,6 +293,41 @@ class TestFactorize:
             for m in hom_set(s, t):
                 fact = factorize(m)
                 assert fact.composite() == m
+
+
+class TestTablePathsMatchOracles:
+    """Hom sets built as image tuples and factorizations peeled against the
+    stored face images and inverses, against the dict-merging hom sets and
+    the copy-per-face peel with a `then`-chain composite."""
+
+    def test_every_pair_of_three_vertex_trees(self):
+        trees = enumerate_trees_by_vertices(3, 3)
+        n_maps = 0
+        for s, t in itertools.product(trees, repeat=2):
+            maps = hom_set(s, t)
+            expected = oracles.naive_hom_set(s, t)
+            assert maps == expected
+            assert [m.map for m in maps] == [m.map for m in expected]
+            for m in maps:
+                assert factorize(m).to_json() == oracles.naive_factorize(m).to_json()
+            n_maps += len(maps)
+        assert n_maps == 12061
+
+
+class TestCompositeChecks:
+    def test_mismatched_step_is_not_composable(self):
+        t = parse_tree("(*(**))")
+        face = next(f for f in elementary_faces(t) if f.morphism.source != t)
+        fact = Factorization([], OmegaMorphism.identity(t), [face])
+        with pytest.raises(DomainError, match="morphisms are not composable"):
+            fact.composite()
+
+    def test_wrong_isomorphism_is_caught(self, monkeypatch):
+        t = corolla(2)
+        swap = OmegaMorphism(t, t, {(): (), (0,): (1,), (1,): (0,)})
+        monkeypatch.setattr(morphisms, "_peel", lambda g: ([], swap))
+        with pytest.raises(DomainError, match="factorization composite mismatch"):
+            factorize(OmegaMorphism.identity(t))
 
 
 class TestDegeneracyMemo:

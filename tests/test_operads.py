@@ -433,6 +433,14 @@ class TestFreeOperad:
         assert {n: len(F.level(n)) for n in F._levels} == {1: 1}
         assert F.level(1) == (("leaf", 0),)
 
+    def test_budget_charges_the_element_count(self):
+        # 1 + 1 + 3 + 15 + 105 elements up to arity 5, counted as they appear
+        F = free_operad(one_binary_generator(), 5, budget=125)
+        assert sum(len(v) for v in F._levels.values()) == 125
+        with pytest.raises(BudgetExceeded) as err:
+            free_operad(one_binary_generator(), 5, budget=124)
+        assert err.value.detail["operation"] == "free operad elements"
+
     def test_forbidden_low_arities(self):
         with pytest.raises(DomainError):
             free_operad(Collection(levels={1: ("u",)}), 3)
