@@ -12,8 +12,10 @@ value's restriction at ``m.source``; ``size(t)`` counts the values at ``t``.
   evaluates the operation witness of each source vertex on whole blocks of
   the target: a decoration is a digit column of the value position, an
   identity a constant, and a composition or permutation one operad call
-  per distinct row of its operands.  Values are computed on demand and
-  never cached.
+  per distinct row of its operands.  ``values(t)`` is a read-only
+  sequence view over the blocks (:class:`NerveValues`): a value is decoded
+  from its block only when read, and only the blocks of recently met trees
+  are kept.
 - :class:`TableDendroidalSet` stores explicit value sets and generator
   actions (elementary faces, degeneracies, automorphisms); along any other
   map the actions of its factorization are composed as gathers.
@@ -33,8 +35,10 @@ positions; its isomorphism to the operad is checked in `dendrokit.laws`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -184,6 +188,54 @@ def _expand(ids, table, n):
 
 # -- nerve ---------------------------------------------------------------------
 
+
+class NerveValues(Sequence):
+    """The values at a tree, a read-only sequence over its value blocks.
+
+    Value i lies in the block whose offset is the last at or below i, and its
+    position in the block is the mixed-radix number of its decorations' pool
+    positions, the last vertex varying fastest.  Equal, in both directions,
+    to the tuple of the same values.
+    """
+
+    __slots__ = ("_term", "_colors", "_pools", "_offsets")
+
+    def __init__(self, t: Tree, blocks):
+        self._term = t.term
+        self._colors = [tuple(coloring[e] for e in t.edges) for coloring, _, _ in blocks]
+        self._pools = [pools for _, pools, _ in blocks]
+        self._offsets = list(itertools.accumulate((n for *_, n in blocks), initial=0))
+
+    def __len__(self):
+        return self._offsets[-1]
+
+    def __iter__(self):
+        for colors, pools in zip(self._colors, self._pools):
+            yield from zip(itertools.repeat(colors), itertools.product(*pools))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("nerve value index out of range")
+        i %= n
+        block = bisect.bisect_right(self._offsets, i) - 1
+        rest, decorations = i - self._offsets[block], []
+        for pool in reversed(self._pools[block]):
+            rest, digit = divmod(rest, len(pool))
+            decorations.append(pool[digit])
+        return self._colors[block], tuple(reversed(decorations))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, NerveValues)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"<nerve values at {self._term}: {len(self)} in {len(self._pools)} blocks>"
+
+
 # Trees whose value blocks a nerve keeps, the least recently met going
 # first: the restrictions along the maps of one tree run back to back, and
 # a materialized carrier of up to this many trees is laid out once.
@@ -196,8 +248,10 @@ class NerveDendroidalSet:
     Elements at a tree T are pairs (edge colors, vertex operations) indexed
     by T's canonical edge and vertex orders.  The value at any tree within
     the operad's arity bound is available; `trees` only fixes the default
-    carrier used by checks.  It keeps the value blocks of the trees it met
-    last and the layout of every tree restricted to.
+    carrier used by checks.  `values(t)` is a :class:`NerveValues` view
+    over the value blocks, which are built when it is called.  It keeps the
+    value blocks of the trees it met last and the layout of every tree
+    restricted to.
     """
 
     def __init__(self, operad: FiniteOperad, trees=None, budget=None):
@@ -210,13 +264,8 @@ class NerveDendroidalSet:
     def name(self):
         return f"nerve({self.operad.name})"
 
-    def values(self, t: Tree):
-        out = []
-        for coloring, pools, _size in self.value_blocks(t):
-            colors = tuple(coloring[e] for e in t.edges)
-            for decs in itertools.product(*pools):
-                out.append((colors, decs))
-        return tuple(out)
+    def values(self, t: Tree) -> NerveValues:
+        return NerveValues(t, self.value_blocks(t))
 
     def size(self, t: Tree):
         return sum(size for *_, size in self.value_blocks(t))
@@ -570,7 +619,7 @@ def materialize(X: NerveDendroidalSet, trees, name=None):
     """Snapshot a nerve into an explicit TableDendroidalSet on `trees`,
     storing actions for all faces, degeneracies and automorphisms."""
     trees = sorted(trees, key=lambda t: (len(t.edges), t.key))
-    values = {t: X.values(t) for t in trees}
+    values = {t: tuple(X.values(t)) for t in trees}
     keys = {t.key for t in trees}
     actions = {}
 
@@ -612,7 +661,7 @@ def _corolla_boundary(X, k, strays):
     `strays`, shared across arities so that equal values compare equal."""
     tk = corolla(k)
     edges = [X.restrict_index(edge_inclusion(tk, e)) for e in [()] + [(i,) for i in range(k)]]
-    values = X.values(tk)
+    values = tuple(X.values(tk))
     index = {}
     for p, el in enumerate(values):
         index.setdefault(el, p)
@@ -828,7 +877,7 @@ class ReconstructedOperad(FiniteOperad):
         if self._identities is None:
             # degeneracy: 1-corolla -> one-edge tree; its action makes identities
             r = self.X.restrict_index(degeneracy_at(corolla(1), ()))
-            restricted = r.decoded(self.X.values(corolla(1)) if r.size else ())
+            restricted = r.decoded(tuple(self.X.values(corolla(1))) if r.size else ())
             self._identities = dict(zip(self.colors, restricted))
         return self._identities[color]
 
@@ -875,7 +924,7 @@ class ReconstructedOperad(FiniteOperad):
         total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
         m = OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
         total = self.X.restrict_index(m)
-        values = self.X.values(m.source) if total.size else ()
+        values = tuple(self.X.values(m.source)) if total.size else ()
         return indexes, dict(zip(keys, total.index.tolist())), total, values
 
     def sigma(self, element, sig, perm):

@@ -395,6 +395,18 @@ def _term_serialize(term):
     return "N[" + repr(gen) + ":" + ",".join(_term_serialize(c) for c in children) + "]"
 
 
+# Raw non-leaf terms whose representative and serialization a free operad
+# keeps; the memo is emptied when full.
+_CANONICAL_KEPT = 2**14
+
+
+def _relabel(term, labels):
+    """`term` with leaf i relabelled labels[i]."""
+    if term[0] == "leaf":
+        return ("leaf", labels[term[1]])
+    return ("node", term[1], tuple(_relabel(c, labels) for c in term[2]))
+
+
 class FreeOperad(FiniteOperad):
     """The free operad on a collection with X(0) = X(1) = empty.
 
@@ -404,7 +416,9 @@ class FreeOperad(FiniteOperad):
     sub-terms fixes one representative per class; reordering children acts on
     the decoration through the collection's symmetric action.  Composition
     grafts trees and renormalizes to the representative; the symmetric action
-    relabels leaves and renormalizes.
+    relabels leaves and renormalizes.  Normalizing builds a term's
+    representative and serialization in one bottom-up pass, and a bounded
+    memo keeps both per raw term.
     """
 
     name = "free"
@@ -418,18 +432,35 @@ class FreeOperad(FiniteOperad):
         self.collection = collection
         self.arity_bound = arity_bound
         self.size_bound = size_bound
+        self._canonical_memo = {}
         self._levels = self._build(resolve_budget(budget))
 
     def canonical(self, term):
+        return self._canonical(term)[0]
+
+    def _canonical(self, term):
+        """The representative of `term` and its serialization, built together
+        bottom-up: each vertex's children are ordered by their serializations,
+        which are then joined into the vertex's own.  Kept per raw term."""
         if term[0] == "leaf":
-            return term
-        gen, children = term[1], term[2]
-        kids = [self.canonical(c) for c in children]
-        order = sorted(range(len(kids)), key=lambda i: _term_serialize(kids[i]))
+            return term, f"L{term[1]}"
+        memo = self._canonical_memo
+        found = memo.get(term)
+        if found is not None:
+            return found
+        gen, kids = term[1], [self._canonical(c) for c in term[2]]
+        order = sorted(range(len(kids)), key=lambda i: kids[i][1])
         if order != list(range(len(kids))):
             gen = self.collection.action(len(kids), tuple(order), gen)
             kids = [kids[i] for i in order]
-        return ("node", gen, tuple(kids))
+        found = (
+            ("node", gen, tuple(rep for rep, _ in kids)),
+            "N[" + repr(gen) + ":" + ",".join(text for _, text in kids) + "]",
+        )
+        if len(memo) >= _CANONICAL_KEPT:
+            memo.clear()
+        memo[term] = found
+        return found
 
     def generator_element(self, n, gen):
         """The corolla decorated by `gen` with identity leaf labelling."""
@@ -438,20 +469,19 @@ class FreeOperad(FiniteOperad):
         return self.canonical(("node", gen, tuple(("leaf", i) for i in range(n))))
 
     def _build(self, budget):
-        levels = {1: {("leaf", 0)}}
+        levels = {1: {("leaf", 0): "L0"}}  # per arity, element -> serialization
         worklist = []
 
         def add(n, el):
             # every level is closed under relabelling, so adjoin the whole
             # symmetric orbit whenever a new element appears
-            bucket = levels.setdefault(n, set())
+            bucket = levels.setdefault(n, {})
             if el in bucket:
                 return
-            sig = Signature(self.colors * n, self.colors[0])
             for perm in itertools.permutations(range(n)):
-                image = self.sigma(el, sig, perm)
+                image, text = self._canonical(_relabel(el, perm_inverse(perm)))
                 if image not in bucket:
-                    bucket.add(image)
+                    bucket[image] = text
                     worklist.append((n, image))
 
         for n, elements in self.collection.levels.items():
@@ -482,7 +512,7 @@ class FreeOperad(FiniteOperad):
             if total > self.size_bound:
                 raise BudgetExceeded("free operad elements", total, self.size_bound)
             charge("free operad elements", total, budget)
-        return {n: tuple(sorted(v, key=_term_serialize)) for n, v in levels.items()}
+        return {n: tuple(sorted(v, key=v.get)) for n, v in levels.items()}
 
     def level(self, n):
         return self._levels.get(n, ())
@@ -513,14 +543,7 @@ class FreeOperad(FiniteOperad):
         return self.canonical(substitute(parent))
 
     def sigma(self, element, sig, perm):
-        inv = perm_inverse(perm)
-
-        def relabel(term):
-            if term[0] == "leaf":
-                return ("leaf", inv[term[1]])
-            return ("node", term[1], tuple(relabel(c) for c in term[2]))
-
-        return self.canonical(relabel(element))
+        return self.canonical(_relabel(element, perm_inverse(perm)))
 
     def element_str(self, element):
         return _term_serialize(element)

@@ -46,6 +46,11 @@ per partial map; the library's build one tuple of images per map.  The
 reference factorization copies and inverts each face's edge map per try
 and composes its chain through one checked `then` per step; the library's
 reads each face's stored image and inverse and composes one edge map.
+The reference nerve values are one tuple built from the value blocks; the
+library's are a sequence view that decodes a value when it is read.  The
+reference free-operad normal form re-serializes every sub-term at every
+level to order the children of each vertex; the library builds each
+representative and its serialization together, bottom-up, and keeps both.
 `edges_above` and `max_operation_arity` serve only these oracles.
 """
 
@@ -84,10 +89,12 @@ from dendrokit.operads import (
     AxiomReport,
     FiniteOperad,
     Signature,
+    _term_serialize,
     block_permutation,
     composition_instances,
     direct_sum_permutation,
     perm_compose,
+    perm_inverse,
 )
 from dendrokit.strata import LabelledTree, StratPoset, _leaf, _set_partitions, _vertex
 from dendrokit.trees import (
@@ -1492,3 +1499,61 @@ def table_to_json(X):
             }
         )
     return {"trees": trees, "values": values, "actions": actions}
+
+
+def tuple_nerve_values(X, t):
+    """The values of the nerve X at `t` as one tuple: per block in block
+    order, its edge colors with every decoration in the product of its
+    pools."""
+    out = []
+    for coloring, pools, _size in X.value_blocks(t):
+        colors = tuple(coloring[e] for e in t.edges)
+        for decs in itertools.product(*pools):
+            out.append((colors, decs))
+    return tuple(out)
+
+
+def recursive_canonical(F, term):
+    """The free operad F's representative of `term`: children ordered by
+    their serializations, recomputed at every level, the generator acted on
+    by the reordering."""
+    if term[0] == "leaf":
+        return term
+    gen, children = term[1], term[2]
+    kids = [recursive_canonical(F, c) for c in children]
+    order = sorted(range(len(kids)), key=lambda i: _term_serialize(kids[i]))
+    if order != list(range(len(kids))):
+        gen = F.collection.action(len(kids), tuple(order), gen)
+        kids = [kids[i] for i in order]
+    return ("node", gen, tuple(kids))
+
+
+def recursive_compose(F, parent, children, child_sigs):
+    """F's composite: every leaf j of `parent` replaced by `children[j]`
+    with its leaves shifted past the earlier children's, then normalized."""
+    arities = [len(s.inputs) for s in child_sigs]
+
+    def shift(term, offset):
+        if term[0] == "leaf":
+            return ("leaf", term[1] + offset)
+        return ("node", term[1], tuple(shift(c, offset) for c in term[2]))
+
+    def substitute(term):
+        if term[0] == "leaf":
+            return shift(children[term[1]], sum(arities[: term[1]]))
+        return ("node", term[1], tuple(substitute(c) for c in term[2]))
+
+    return recursive_canonical(F, substitute(parent))
+
+
+def recursive_sigma(F, element, perm):
+    """F's symmetric action: leaf i relabelled to the inverse of `perm` at
+    i, then normalized."""
+    inv = perm_inverse(perm)
+
+    def relabel(term):
+        if term[0] == "leaf":
+            return ("leaf", inv[term[1]])
+        return ("node", term[1], tuple(relabel(c) for c in term[2]))
+
+    return recursive_canonical(F, relabel(element))

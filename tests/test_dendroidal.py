@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -73,6 +74,70 @@ class TestNerveValues:
         X = nerve(end_operad((0, 1), 2))
         with pytest.raises(DomainError):
             X.values(corolla(3))
+
+
+VIEW_CASES = {
+    "com": (com_operad, (3, 3)),
+    "ass": (lambda: ass_operad(4), (3, 3)),
+    "free-binary": (lambda: free_operad(one_binary_generator(), 4), (3, 3)),
+    "end01": (lambda: end_operad((0, 1), 2), (4, 2)),
+}
+
+
+class TestNerveValueView:
+    """`values(t)` as a sequence view, against the tuple built from the
+    same value blocks."""
+
+    @pytest.mark.parametrize("case", sorted(VIEW_CASES))
+    def test_matches_the_tuple(self, case):
+        make, (v, k) = VIEW_CASES[case]
+        X = nerve(make())
+        carrier = enumerate_trees_by_vertices(v, k)
+        assert any(not t.vertices for t in carrier)
+        for t in carrier:
+            view, expected = X.values(t), oracles.tuple_nerve_values(X, t)
+            assert tuple(view) == expected
+            assert len(view) == len(expected)
+            assert [view[i] for i in range(len(view))] == list(expected)
+            if expected:
+                assert view[-1] == expected[-1]
+            assert view[1::3] == expected[1::3]
+            assert view[-3:] == expected[-3:]
+            assert view == expected and expected == view
+            assert not (view != expected or expected != view)
+            with pytest.raises(IndexError):
+                view[len(view)]
+            with pytest.raises(IndexError):
+                view[-len(view) - 1]
+
+    def test_unequal_and_short_repr(self):
+        X = nerve(ass_operad(4))
+        t = parse_tree("(*(**))")
+        view = X.values(t)
+        expected = oracles.tuple_nerve_values(X, t)
+        assert view != expected[:-1] and expected[:-1] != view
+        assert view != expected[::-1] and view != list(expected)
+        assert view == X.values(t) and view != X.values(corolla(2))
+        assert repr(view) == "<nerve values at (*(**)): 4 in 1 blocks>"
+
+    def test_errors_raise_when_called(self):
+        with pytest.raises(DomainError):
+            nerve(end_operad((0, 1), 2)).values(corolla(3))
+        with pytest.raises(BudgetExceeded) as err:
+            nerve(ass_operad(4), budget=1000).values(parse_tree("((****)(****))"))
+        detail = err.value.detail
+        assert (detail["operation"], detail["estimate"]) == ("nerve values", 1152)
+
+    def test_large_tree_held_as_blocks(self):
+        # 24^4 values; the tuple of them peaks near 48 MB
+        tracemalloc.start()
+        try:
+            n = len(nerve(ass_operad(4)).values(parse_tree("(*(****)(****)(****))")))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 331_776
+        assert peak < 2**20
 
 
 def restriction_of(X, m):
@@ -755,7 +820,7 @@ def compare_restrictions(P, trees):
     oracle.  Returns the (map, value) pairs where the two differ in result
     or error, and the count of each outcome: "value" or an error message."""
     X = nerve(P)
-    values = {t: X.values(t) for t in trees}
+    values = {t: tuple(X.values(t)) for t in trees}
     mismatches, kinds = [], collections.Counter()
     for s, t in itertools.product(trees, repeat=2):
         for m in hom_set(s, t):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import oracles
+from dendrokit import operads
 from dendrokit.errors import BudgetExceeded, DomainError
 from dendrokit.fixtures import load_operad
 from dendrokit.morphisms import hom_set, operation_exists
@@ -415,6 +416,70 @@ class TestEvalWitness:
         assert el in A.hom(("x",) * 3, "x")
 
 
+def swap_action(n, perm, el):
+    """Swapping the inputs of a binary generator swaps "a" and "b"."""
+    if n == 2 and perm == (1, 0):
+        return {"a": "b", "b": "a"}[el]
+    return el
+
+
+FREE_CASES = {
+    "binary": one_binary_generator,
+    "binary-ternary": lambda: Collection(levels={2: ("m",), 3: ("w",)}),
+    "swap": lambda: Collection(levels={2: ("a", "b")}, action=swap_action),
+}
+
+
+def free_sig(F, n):
+    return Signature(F.colors * n, F.colors[0])
+
+
+def free_grid(F, bound):
+    """Every (parent, its signature, children, their signatures) composable
+    within `bound`."""
+    for n in range(1, bound + 1):
+        for arities in itertools.product(range(1, bound + 1), repeat=n):
+            if sum(arities) > bound:
+                continue
+            pools = [F.level(k) for k in arities]
+            for parent in F.level(n):
+                for children in itertools.product(*pools):
+                    yield parent, free_sig(F, n), list(children), [free_sig(F, k) for k in arities]
+
+
+class TestFreeCanonical:
+    """The one-pass normal form against the recursive one."""
+
+    def check(self, F, bound, memo_bound):
+        sizes = []
+        for n in range(1, bound + 1):
+            for el in F.level(n):
+                for perm in itertools.permutations(range(n)):
+                    got = F.sigma(el, free_sig(F, n), perm)
+                    assert got == oracles.recursive_sigma(F, el, perm)
+                    sizes.append(len(F._canonical_memo))
+        for parent, parent_sig, children, child_sigs in free_grid(F, bound):
+            got = F.compose(parent, parent_sig, children, child_sigs)
+            assert got == oracles.recursive_compose(F, parent, children, child_sigs)
+            sizes.append(len(F._canonical_memo))
+        assert max(sizes) <= memo_bound
+        return sizes
+
+    @pytest.mark.parametrize("case", sorted(FREE_CASES))
+    def test_matches_the_recursive_normal_form(self, case):
+        F = free_operad(FREE_CASES[case](), 4)
+        for n in range(1, 5):
+            assert all(oracles.recursive_canonical(F, el) == el for el in F.level(n))
+        self.check(F, 4, operads._CANONICAL_KEPT)
+
+    @pytest.mark.parametrize("case", sorted(FREE_CASES))
+    def test_memo_is_emptied_at_its_bound(self, case, monkeypatch):
+        monkeypatch.setattr(operads, "_CANONICAL_KEPT", 16)
+        F = free_operad(FREE_CASES[case](), 4)
+        sizes = self.check(F, 4, 16)
+        assert max(sizes) == 16 and any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
 class TestFreeOperad:
     def test_binary_counts(self):
         F = free_operad(one_binary_generator(), 5)
@@ -462,11 +527,6 @@ class TestFreeOperad:
         assert {n: len(v) for n, v in F._levels.items()} == {1: 1, 2: 2, 3: 13, 4: 140}
 
     def test_unit_injection_is_injective_and_equivariant(self):
-        def swap_action(n, perm, el):
-            if n == 2 and perm == (1, 0):
-                return {"a": "b", "b": "a"}[el]
-            return el
-
         C = Collection(levels={2: ("a", "b")}, action=swap_action)
         assert oracles.collection_action_violations(C) == []
         F = free_operad(C, 3)
