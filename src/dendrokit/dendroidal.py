@@ -131,7 +131,10 @@ class Restriction(NamedTuple):
         return source_values[p] if p < self.size else self.outside[p - self.size]
 
     def decoded(self, source_values):
-        """Every target value's restriction, in position order."""
+        """Every target value's restriction, in position order.  The source
+        values are read by index, so a :class:`NerveValues` view is turned
+        into a tuple once."""
+        source_values = tuple(source_values)
         return [self.decode(p, source_values) for p in self.index.tolist()]
 
 
@@ -195,7 +198,9 @@ class NerveValues(Sequence):
     Value i lies in the block whose offset is the last at or below i, and its
     position in the block is the mixed-radix number of its decorations' pool
     positions, the last vertex varying fastest.  Equal, in both directions,
-    to the tuple of the same values.
+    to the tuple of the same values, but unhashable.  Iteration runs at C
+    speed; each index decodes its value in Python, so a caller that reads
+    by index many times converts the view to a tuple once.
     """
 
     __slots__ = ("_term", "_colors", "_pools", "_offsets")
@@ -249,7 +254,9 @@ class NerveDendroidalSet:
     by T's canonical edge and vertex orders.  The value at any tree within
     the operad's arity bound is available; `trees` only fixes the default
     carrier used by checks.  `values(t)` is a :class:`NerveValues` view
-    over the value blocks, which are built when it is called.  It keeps the
+    over the value blocks, which are built when it is called; unlike a
+    table's tuple it cannot be hashed or added, so code that needs those, or
+    reads by index many times, converts it with `tuple()`.  It keeps the
     value blocks of the trees it met last and the layout of every tree
     restricted to.
     """
@@ -877,7 +884,7 @@ class ReconstructedOperad(FiniteOperad):
         if self._identities is None:
             # degeneracy: 1-corolla -> one-edge tree; its action makes identities
             r = self.X.restrict_index(degeneracy_at(corolla(1), ()))
-            restricted = r.decoded(tuple(self.X.values(corolla(1))) if r.size else ())
+            restricted = r.decoded(self.X.values(corolla(1)) if r.size else ())
             self._identities = dict(zip(self.colors, restricted))
         return self._identities[color]
 

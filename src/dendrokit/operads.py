@@ -388,13 +388,6 @@ class Collection:
 # kept in the generator's argument order.
 
 
-def _term_serialize(term):
-    if term[0] == "leaf":
-        return f"L{term[1]}"
-    gen, children = term[1], term[2]
-    return "N[" + repr(gen) + ":" + ",".join(_term_serialize(c) for c in children) + "]"
-
-
 # Raw non-leaf terms whose representative and serialization a free operad
 # keeps; the memo is emptied when full.
 _CANONICAL_KEPT = 2**14
@@ -546,7 +539,8 @@ class FreeOperad(FiniteOperad):
         return self.canonical(_relabel(element, perm_inverse(perm)))
 
     def element_str(self, element):
-        return _term_serialize(element)
+        # an element is its own representative, so this is its serialization
+        return self._canonical(element)[1]
 
 
 def free_operad(collection: Collection, arity_bound, size_bound=200000, budget=None) -> FreeOperad:

@@ -89,7 +89,6 @@ from dendrokit.operads import (
     AxiomReport,
     FiniteOperad,
     Signature,
-    _term_serialize,
     block_permutation,
     composition_instances,
     direct_sum_permutation,
@@ -1513,6 +1512,15 @@ def tuple_nerve_values(X, t):
     return tuple(out)
 
 
+def term_serialize(term):
+    """A free operad term's text: ``L<i>`` for leaf i, ``N[<generator
+    repr>:<children's texts>]`` for a vertex."""
+    if term[0] == "leaf":
+        return f"L{term[1]}"
+    gen, children = term[1], term[2]
+    return "N[" + repr(gen) + ":" + ",".join(term_serialize(c) for c in children) + "]"
+
+
 def recursive_canonical(F, term):
     """The free operad F's representative of `term`: children ordered by
     their serializations, recomputed at every level, the generator acted on
@@ -1521,7 +1529,7 @@ def recursive_canonical(F, term):
         return term
     gen, children = term[1], term[2]
     kids = [recursive_canonical(F, c) for c in children]
-    order = sorted(range(len(kids)), key=lambda i: _term_serialize(kids[i]))
+    order = sorted(range(len(kids)), key=lambda i: term_serialize(kids[i]))
     if order != list(range(len(kids))):
         gen = F.collection.action(len(kids), tuple(order), gen)
         kids = [kids[i] for i in order]

@@ -470,6 +470,8 @@ class TestFreeCanonical:
         F = free_operad(FREE_CASES[case](), 4)
         for n in range(1, 5):
             assert all(oracles.recursive_canonical(F, el) == el for el in F.level(n))
+            texts = [F.element_str(el) for el in F.level(n)]
+            assert texts == [oracles.term_serialize(el) for el in F.level(n)] == sorted(texts)
         self.check(F, 4, operads._CANONICAL_KEPT)
 
     @pytest.mark.parametrize("case", sorted(FREE_CASES))
