@@ -9,13 +9,15 @@ value's restriction at ``m.source``; ``size(t)`` counts the values at ``t``.
 - :class:`NerveDendroidalSet` is the nerve of a finite operad: a value is a
   color per edge and an operation per vertex, laid out in blocks, one per
   edge coloring, each the product of its vertices' hom-sets.  A restriction
-  evaluates the operation witness of each source vertex on whole blocks of
-  the target: a decoration is a digit column of the value position, an
-  identity a constant, and a composition or permutation one operad call
-  per distinct row of its operands.  ``values(t)`` is a read-only
-  sequence view over the blocks (:class:`NerveValues`): a value is decoded
-  from its block only when read, and only the blocks of recently met trees
-  are kept.
+  runs a plan compiled once per map (`_restriction_plan`, shared by the
+  nerves of all operads) on whole blocks of the target: one step per source
+  vertex, compiled from the operation witness it lands on.  A pick, a
+  target vertex with its inputs in order, is one gather of that vertex's
+  digit column; an identity is a constant; a composition or permutation
+  makes one operad call per distinct row of its operands.  ``values(t)`` is
+  a read-only sequence view over the blocks (:class:`NerveValues`): a value
+  is decoded from its block only when read, and only the blocks of
+  recently met trees are kept.
 - :class:`TableDendroidalSet` stores explicit value sets and generator
   actions (elementary faces, degeneracies, automorphisms); along any other
   map the actions of its factorization are composed as gathers.
@@ -26,11 +28,15 @@ decodes them into a table set's stored actions.  Per corolla
 arity, a boundary table holds the one-edge ids of each corolla value's root
 and leaf restrictions; per vertex of a tree, a column holds the position at
 the corolla of each value's restriction there.  The check compares boundary
-ids per inner edge, tests injectivity with `np.unique` on mixed-radix keys
-of the columns, and counts the core by dynamic programming over the vertex
+ids per inner edge up to the first value leaving the core, tests
+injectivity on mixed-radix keys of the columns (one scatter when the key
+space is small, `np.unique` otherwise), and counts the core by dynamic
+programming over the vertex tree, each branch shape once per check.  What
+it reads of a tree (arities, links, subcorolla maps) is built once per
 tree.  Reconstruction groups corolla values by boundary ids into hom-sets
 and inverts the Segal bijection on a grafted tree through its values'
-positions; its isomorphism to the operad is checked in `dendrokit.laws`.
+positions, the grafted tree and its maps built once per arity tuple; its
+isomorphism to the operad is checked in `dendrokit.laws`.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +67,7 @@ from .trees import (
     canonicalize_node,
     corolla,
     leaf_tree,
+    parse_address,
     parse_tree,
 )
 
@@ -155,9 +163,12 @@ def _row_keys(columns, radices, n):
     the stacked rows themselves when a key could overflow."""
     if math.prod(radices) >= 2**63:
         return np.stack(columns, axis=1)
-    key = np.zeros(n, dtype=np.int64)
-    for column, radix in zip(columns, radices):
-        key = key * radix + column
+    if not columns:
+        return np.zeros(n, dtype=np.int64)
+    key = np.array(columns[0], dtype=np.int64)
+    for column, radix in zip(columns[1:], radices[1:]):
+        key *= radix
+        key += column
     return key
 
 
@@ -246,6 +257,72 @@ class NerveValues(Sequence):
 # a materialized carrier of up to this many trees is laid out once.
 _BLOCKS_KEPT = 128
 
+# Restriction plans, Segal shapes and graftings kept, one per map, tree or
+# arity tuple: above the subcorolla maps of a Segal check on the trees of
+# (4, 4) and the maps of a round trip at arity 5, so that the nerves of
+# several operads met in turn share them.
+_CACHE_SIZE = 8192
+
+_PICK, _IDENTITY, _COMPOSE = range(3)
+
+
+def _compile(w, target, vertex_index):
+    """One step of a restriction plan, from the witness `w` at `target`.
+    Steps name a target vertex by its position and its output and input
+    edges: (_PICK, vertex, output, inputs) when `w` is the vertex with its
+    inputs in order, whose operation is the vertex's decoration;
+    (_IDENTITY, edge); or (_COMPOSE, vertex, output, inputs, child steps,
+    permutation or None when the inputs stay in order)."""
+    if w.is_identity:
+        return (_IDENTITY, w.output)
+    vertex = vertex_index[w.output]
+    in_order = w.perm == tuple(range(len(w.perm)))
+    kids = target.children(w.output)
+    if in_order and all(c.is_identity for c in w.children):
+        return (_PICK, vertex, w.output, kids)
+    children = tuple(_compile(c, target, vertex_index) for c in w.children)
+    return (_COMPOSE, vertex, w.output, kids, children, None if in_order else w.perm)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _restriction_plan(source: Tree, target: Tree, images):
+    """The steps restricting along the map sending ``source.edges[i]`` to
+    ``images[i]``: one per source vertex, compiled from the witness of the
+    operation it lands on; a vertex landing on a target vertex with its
+    inputs in order is a pick without a witness search.  A plan depends on
+    the map alone, so the nerves of all operads share it."""
+    image = dict(zip(source.edges, images))
+    vertex_index = {v: i for i, v in enumerate(target.vertices)}
+    steps = []
+    for v in source.vertices:
+        out, inputs = image[v], tuple(image[c] for c in source.children(v))
+        if out in vertex_index and inputs == target.children(out):
+            steps.append((_PICK, vertex_index[out], out, inputs))
+        else:
+            steps.append(_compile(operation_exists(target, out, inputs), target, vertex_index))
+    return tuple(steps)
+
+
+class _Hom(NamedTuple):
+    """One signature's hom pool, the first position of each of its
+    elements, and those positions in pool order."""
+
+    pool: tuple
+    where: dict
+    firsts: np.ndarray
+
+
+class _Placement(NamedTuple):
+    """Where one coloring's block of values at a source tree lies: its
+    first position, each vertex's hom and stride, and per vertex the
+    position offset of each pool element, its first position times the
+    stride."""
+
+    offset: int
+    homs: list
+    strides: list
+    scaled: list
+
 
 class NerveDendroidalSet:
     """The dendroidal nerve of a finite operad.
@@ -256,16 +333,16 @@ class NerveDendroidalSet:
     carrier used by checks.  `values(t)` is a :class:`NerveValues` view
     over the value blocks, which are built when it is called; unlike a
     table's tuple it cannot be hashed or added, so code that needs those, or
-    reads by index many times, converts it with `tuple()`.  It keeps the
-    value blocks of the trees it met last and the layout of every tree
-    restricted to.
+    reads by index many times, converts it with `tuple()`.  It keeps each
+    signature's hom pool, the value blocks of the trees it met last and the
+    layout of every tree restricted along.
     """
 
     def __init__(self, operad: FiniteOperad, trees=None, budget=None):
         self.operad = operad
         self.trees = tuple(trees) if trees is not None else None
         self.budget = budget
-        self._blocks, self._layouts = {}, {}
+        self._blocks, self._layouts, self._homs = {}, {}, {}
 
     @property
     def name(self):
@@ -277,14 +354,33 @@ class NerveDendroidalSet:
     def size(self, t: Tree):
         return sum(size for *_, size in self.value_blocks(t))
 
+    def _hom(self, inputs, output) -> _Hom:
+        """The hom of one signature, asked of the operad once, so that equal
+        signatures share one pool."""
+        h = self._homs.get((inputs, output))
+        if h is None:
+            pool = self.operad.hom(inputs, output)
+            where = {}
+            for i, el in enumerate(pool):
+                where.setdefault(el, i)
+            firsts = np.array([where[el] for el in pool], dtype=np.int64)
+            h = self._homs[inputs, output] = _Hom(pool, where, firsts)
+        return h
+
+    def _vertex_homs(self, t: Tree, coloring):
+        return [
+            self._hom(tuple(coloring[c] for c in t.children(v)), coloring[v]) for v in t.vertices
+        ]
+
     def value_blocks(self, t: Tree):
         """The values at `t` in blocks, one per edge coloring in value order:
         (coloring, hom pool at each vertex, block size).  Within a block the
         values are the product of the pools, the last vertex varying
         fastest."""
-        if t in self._blocks:
-            self._blocks[t] = self._blocks.pop(t)  # the latest met go last
-            return self._blocks[t]
+        blocks = self._blocks.pop(t, None)
+        if blocks is not None:
+            self._blocks[t] = blocks  # the latest met go last
+            return blocks
         P = self.operad
         if P.arity_bound is not None:
             max_in = max((len(t.children(v)) for v in t.vertices), default=0)
@@ -296,10 +392,7 @@ class NerveDendroidalSet:
         blocks = []
         total = 0
         for coloring in self._colorings(t):
-            pools = [
-                P.hom(tuple(coloring[c] for c in t.children(v)), coloring[v])
-                for v in t.vertices
-            ]
+            pools = [h.pool for h in self._vertex_homs(t, coloring)]
             size = math.prod(map(len, pools))
             total += size
             charge("nerve values", total, self.budget)
@@ -338,60 +431,66 @@ class NerveDendroidalSet:
         return colorings
 
     def _layout(self, t: Tree):
-        """Per coloring of `t` (its colors in edge order): the offset of its
-        block, each vertex's pool as {element: position} and the vertex
-        strides; and the value count.  Beyond the arity bound: no values."""
-        if t not in self._layouts:
-            try:
-                blocks = self.value_blocks(t)
-            except DomainError:
-                blocks = []
-            layout, size = {}, 0
-            for coloring, pools, n in blocks:
-                where = [{el: i for i, el in enumerate(pool)} for pool in pools]
-                layout[tuple(coloring[e] for e in t.edges)] = (size, where, _strides(pools))
-                size += n
-            self._layouts[t] = layout, size
-        return self._layouts[t]
+        """Per coloring of `t` (its colors in edge order) its block's
+        :class:`_Placement`; and the value count.  Beyond the arity bound:
+        no values."""
+        found = self._layouts.get(t)
+        if found is not None:
+            return found
+        try:
+            blocks = self.value_blocks(t)
+        except DomainError:
+            blocks = []
+        layout, size = {}, 0
+        for coloring, pools, n in blocks:
+            homs, strides = self._vertex_homs(t, coloring), _strides(pools)
+            scaled = [h.firsts * stride for h, stride in zip(homs, strides)]
+            layout[tuple(coloring[e] for e in t.edges)] = _Placement(size, homs, strides, scaled)
+            size += n
+        found = self._layouts[t] = layout, size
+        return found
 
     def restrict_index(self, m: OmegaMorphism) -> Restriction:
         """The contravariant action along `m`: per coloring of the target,
-        the witnesses of the source vertices run on its whole block
+        the plan of `m` (`_restriction_plan`) runs on its whole block
         (`_run_block`) and each result is placed by its coloring and
-        decorations at the source.  A result no source block holds, such as
-        a composite outside its hom-set, is an outside value."""
-        source, target = m.source, m.target
-        witnesses = [
-            operation_exists(target, m(v), tuple(m(c) for c in source.children(v)))
-            for v in source.vertices
-        ]
-        images = [m(e) for e in source.edges]
-        layout, size = self._layout(source)
+        decorations at the source.  A decoration picked from a target
+        vertex lies in the same pool at the source, so it is placed by one
+        gather; a result no source block holds, such as a composite outside
+        its hom-set, is an outside value."""
+        steps = _restriction_plan(m.source, m.target, m._items)
+        layout, size = self._layout(m.source)
         outside, errors, columns = {}, [], []
-        for coloring, pools, n in self.value_blocks(target):
+        for coloring, pools, n in self.value_blocks(m.target):
             if not n:
                 continue
             known = len(errors)
-            decorations, failed = _run_block(self.operad, witnesses, target, coloring, pools, errors)
-            source_colors = tuple(coloring[e] for e in images)
+            decorations, failed = _run_block(self.operad, steps, coloring, pools, n, errors)
+            source_colors = tuple(map(coloring.__getitem__, m._items))
             # a decoration or coloring the source does not hold adds `size`
-            offset, where, strides = layout.get(source_colors, (size, (), ()))
-            ids = np.full(n, offset, dtype=np.int64) if not where else None
-            unheld = source_colors not in layout or len(errors) > known
-            for (column, els), found, stride in zip(decorations, where, strides):
-                lookup = [found.get(el, size) for el in els]
-                unheld = unheld or size in lookup
-                lookup = np.array(lookup, dtype=np.int64) * stride
-                if ids is None:
-                    ids = _expand(column, lookup + offset, n)
+            at = layout.get(source_colors)
+            unheld = at is None or len(errors) > known
+            ids = None
+            placed = zip(decorations, at.homs, at.scaled, at.strides) if at else ()
+            for (column, els), h, scaled, stride in placed:
+                if els is h.pool:
+                    table = scaled
                 else:
-                    ids += _expand(column, lookup, n)
+                    lookup = [h.where.get(el, size) for el in els]
+                    unheld = unheld or size in lookup
+                    table = np.array(lookup, dtype=np.int64) * stride
+                if ids is None:
+                    ids = _expand(column, table + at.offset if at.offset else table, n)
+                else:
+                    ids += _expand(column, table, n)
+            if ids is None:
+                ids = np.full(n, size if at is None else at.offset, dtype=np.int64)
             if len(errors) > known:
                 ids = np.where(failed < 0, failed, ids)
             if unheld:
-                at = [_expand(column, np.arange(len(els)), n) for column, els in decorations]
+                digits = [_expand(column, np.arange(len(els)), n) for column, els in decorations]
                 for i in np.flatnonzero(ids >= size).tolist():
-                    decs = tuple(els[c[i]] for c, (_, els) in zip(at, decorations))
+                    decs = tuple(els[c[i]] for c, (_, els) in zip(digits, decorations))
                     ids[i] = size + outside.setdefault((source_colors, decs), len(outside))
             columns.append(ids)
         index = np.concatenate(columns) if len(columns) > 1 else (columns or [np.zeros(0, np.int64)])[0]
@@ -406,65 +505,107 @@ class NerveDendroidalSet:
         return ";".join(parts) if parts else "*"
 
 
-def _run_block(P, witnesses, target, coloring, pools, errors):
-    """Evaluate `witnesses` on every value of one coloring block of `target`.
+def _digit(pools, vertex):
+    """The digit column of `vertex` in a block's positions, and its pool."""
+    pool = pools[vertex]
+    return (len(pool), math.prod(map(len, pools[vertex + 1 :]))), pool
 
-    A column is (ids, elements), ``elements[ids[i]]`` for value i.  A
-    vertex's decoration is a digit column (radix, stride) of the value's
-    position in the block, and by the unit law it is the whole operation of
-    a witness with identity inputs in order.  Every other witness makes the
-    operad calls of evaluating it recursively, each one call per distinct
-    row of its operands among the values not yet failed.  Returns one column
-    per witness and each value's error id (0 for none; None before a call).
+
+def _call_rows(fn, rows, errors):
+    """``fn(*row)`` for each row in order: the results, None for a call that
+    raised, and each row's error id (0 for none), or None when no call
+    raised.  A raised error is appended to `errors`."""
+    results, raised = [], {}
+    for row in rows:
+        try:
+            results.append(fn(*row))
+        except DendroError as err:
+            errors.append(err)
+            raised[len(results)] = -len(errors)
+            results.append(None)
+    if not raised:
+        return results, None
+    codes = np.zeros(len(results), dtype=np.int64)
+    codes[list(raised)] = list(raised.values())
+    return results, codes
+
+
+def _run_block(P, steps, coloring, pools, n, errors):
+    """Run the plan `steps` on every value of one coloring block.
+
+    A column is (ids, elements), ``elements[ids[i]]`` for value i.  A pick
+    is the digit column (radix, stride) of its vertex in the value's
+    position in the block: by the unit law the whole operation of a witness
+    with identity inputs in order.  Every other step makes the operad calls
+    of evaluating its witness recursively, each one call per distinct row
+    of its operands among the values not yet failed.  The operands of one
+    call come from distinct vertices, so while no value has failed and
+    every operand is a digit column, the distinct rows are the product of
+    the digits in key order; a call on at most one digit of radix above 1
+    gives a digit column again.  Returns one column per step and each
+    value's error id (0 for none; None while no call has failed).
     """
-    n = math.prod(map(len, pools))
-    digits = dict(zip(target.vertices, zip(pools, _strides(pools))))
     failed = None
 
     def call(fn, operands):
         nonlocal failed
-        if failed is None:
-            failed = np.zeros(n, dtype=np.int64)
-        live = np.flatnonzero(failed == 0)
+        if failed is None and all(type(ids) is tuple for ids, _ in operands):
+            rows = itertools.product(*(els for _, els in operands))
+            results, raised = _call_rows(fn, rows, errors)
+            varying = [(ids, len(els)) for ids, els in operands if len(els) > 1]
+            if len(varying) < 2:
+                ids = varying[0][0] if varying else (1, n)
+            else:
+                ids, scale = 0, 1
+                for digit, radix in reversed(varying):
+                    ids = ids + _expand(digit, np.arange(radix) * scale, n)
+                    scale *= radix
+            if raised is not None:
+                failed = _expand(ids, raised, n)
+            return ids, results
+        live = np.arange(n) if failed is None else np.flatnonzero(failed == 0)
         columns = [_expand(ids, np.arange(len(els)), n)[live] for ids, els in operands]
         first, inverse = _distinct_rows(columns, [len(els) for _, els in operands], len(live))
         args = [[els[i] for i in c[first].tolist()] for c, (_, els) in zip(columns, operands)]
-        results, raised = [], np.zeros(len(first), dtype=np.int64)
-        for r in range(len(first)):
-            try:
-                results.append(fn(*[column[r] for column in args]))
-            except DendroError as err:
-                errors.append(err)
-                raised[r] = -len(errors)
-                results.append(None)
+        rows = (tuple(column[r] for column in args) for r in range(len(first)))
+        results, raised = _call_rows(fn, rows, errors)
         ids = np.zeros(n, dtype=np.int64)
         ids[live] = inverse
-        failed[live] = raised[inverse]
+        if raised is not None:
+            if failed is None:
+                failed = np.zeros(n, dtype=np.int64)
+            failed[live] = raised[inverse]
         return ids, results
 
-    def evaluate(w):
-        # the column of the operation of `w`, and its signature
-        out = coloring[w.output]
-        if w.is_identity:
+    def signature(step):
+        _, _, out, kids = step[:4]
+        return Signature(tuple(coloring[c] for c in kids), coloring[out])
+
+    def evaluate(step):
+        # the column of the operation of `step`, and its signature
+        kind = step[0]
+        if kind == _IDENTITY:
+            out = coloring[step[1]]
             return call(lambda: P.identity(out), []), Signature((out,), out)
-        pool, stride = digits[w.output]
-        decoration = (len(pool), stride), pool
-        parent_sig = Signature(tuple(coloring[c] for c in target.children(w.output)), out)
-        in_order = w.perm == tuple(range(len(w.perm)))
-        if in_order and all(c.is_identity for c in w.children):
-            return decoration, parent_sig
-        children = [evaluate(c) for c in w.children]
+        decoration = _digit(pools, step[1])
+        if kind == _PICK:
+            return decoration, signature(step)
+        *_, child_steps, perm = step
+        parent_sig = signature(step)
+        children = [evaluate(c) for c in child_steps]
         child_sigs = [sig for _, sig in children]
         inputs = tuple(c for s in child_sigs for c in s.inputs)
+        out = parent_sig.output
 
         def compose(parent, *kids):
             el = P.compose(parent, parent_sig, list(kids), list(child_sigs))
-            return el if in_order else P.sigma(el, Signature(inputs, out), w.perm)
+            return el if perm is None else P.sigma(el, Signature(inputs, out), perm)
 
         column = call(compose, [decoration] + [column for column, _ in children])
-        return column, Signature(tuple(inputs[i] for i in w.perm), out)
+        return column, Signature(inputs if perm is None else tuple(inputs[i] for i in perm), out)
 
-    return [evaluate(w)[0] for w in witnesses], failed
+    columns = [_digit(pools, step[1]) if step[0] == _PICK else evaluate(step)[0] for step in steps]
+    return columns, failed
 
 
 def nerve(operad: FiniteOperad, trees=None, budget=None) -> NerveDendroidalSet:
@@ -549,49 +690,56 @@ class TableDendroidalSet:
         return str(element)
 
     def to_json(self):
-        text = {}  # str of every value met, so that each is stringified once
-
-        def as_text(e):
-            s = text.get(e)
-            if s is None:
-                s = text[e] = str(e)
-            return s
-
+        text = _Texts()
         trees = [t.term for t in self.trees]
-        values = {t.term: [as_text(e) for e in self._values[t]] for t in self.trees}
+        values = {t.term: list(map(text.__getitem__, self._values[t])) for t in self.trees}
         by_key = {t.key: t for t in self.trees}
         actions = []
+
+        def order(item):
+            k = item[0]
+            return text[k] if type(k) is tuple else repr(k)
+
         # entries in the order of str((key, item)): keys are distinct and
         # their reprs are prefix-free literals, so repr(key) alone fixes it;
         # a tuple's repr is its str
         for skey, tkey, pairs in sorted(self._actions, key=repr):
             table = self._actions[skey, tkey, pairs]
             m = OmegaMorphism(by_key[skey], by_key[tkey], dict(pairs), _checked=True)
-            rows = sorted(
-                ((as_text(k) if type(k) is tuple else repr(k), k, v) for k, v in table.items()),
-                key=lambda row: row[0],
-            )
-            actions.append(
-                {
-                    "morphism": m.to_json(),
-                    "map": {as_text(k): as_text(v) for _, k, v in rows},
-                }
-            )
+            rows = sorted(table.items(), key=order)
+            actions.append({"morphism": m.to_json(), "map": {text[k]: text[v] for k, v in rows}})
         return {"trees": trees, "values": values, "actions": actions}
 
     @classmethod
     def from_json(cls, payload, name="table"):
         trees = [parse_tree(term) for term in payload["trees"]]
         values = {}
-        by_key = {}
         for t, term in zip(trees, payload["trees"]):
             values[t] = tuple(payload["values"][term])
-            by_key[t.key] = t
+        # a term names one tree wherever it appears, so each is parsed once
+        parsed = dict(zip(payload["trees"], trees))
+
+        def tree(term):
+            if term not in parsed:
+                parsed[term] = parse_tree(term)
+            return parsed[term]
+
         actions = {}
         for entry in payload["actions"]:
-            m = OmegaMorphism.from_json(entry["morphism"])
+            m = entry["morphism"]
+            source, target = tree(m["source_key"]), tree(m["target_key"])
+            edge_map = {parse_address(k): parse_address(v) for k, v in m["edge_map"].items()}
+            m = OmegaMorphism(source, target, edge_map)
             actions[morphism_key(m)] = dict(entry["map"])
         return cls(trees, values, actions, name=name)
+
+
+class _Texts(dict):
+    """The str of every value met, each stringified once."""
+
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
 
 
 def _gather(ids, table):
@@ -652,14 +800,16 @@ def materialize(X: NerveDendroidalSet, trees, name=None):
 
 class CorollaBoundary(NamedTuple):
     """The k-corolla's values by position, the first position of each value
-    (`index`; its values are the distinct positions), and the one-edge ids
-    of each position's root and leaf restrictions: `root[p]` and
-    `leaves[p, slot]`."""
+    (`index`; its values are the distinct positions), the one-edge ids
+    of each position's root and leaf restrictions, `root[p]` and
+    `leaves[p, slot]`, and per distinct position the row (position, root
+    id, leaf ids)."""
 
     values: tuple
     index: dict
     root: np.ndarray
     leaves: np.ndarray
+    rows: list
 
 
 def _corolla_boundary(X, k, strays):
@@ -679,7 +829,12 @@ def _corolla_boundary(X, k, strays):
     for slot, r in enumerate(edges):
         for p in np.flatnonzero(r.index >= r.size).tolist():
             ids[p, slot] = r.size + strays.setdefault(r.outside[r.index[p] - r.size], len(strays))
-    return CorollaBoundary(values, index, ids[:, 0], ids[:, 1:])
+    distinct = list(index.values())
+    rows = list(zip(distinct, ids[distinct, 0].tolist(), map(tuple, ids[distinct, 1:].tolist())))
+    # one-edge ids are few, and each slot's leaf ids lie together, so that
+    # the check gathers them in narrow contiguous columns
+    ids = np.asfortranarray(ids, dtype=np.int32)
+    return CorollaBoundary(values, index, ids[:, 0], ids[:, 1:], rows)
 
 
 @dataclass
@@ -701,31 +856,64 @@ class SegalReport:
         }
 
 
-def _core_count(t: Tree, boundary):
-    """Number of core families by dynamic programming over the vertex tree,
-    grouping corolla values by their boundary restrictions."""
+class _SegalShape(NamedTuple):
+    """Per vertex of a tree, in vertex order: its arity, its subcorolla
+    inclusion, the unlabelled term of the branch above it, and its inner
+    inputs as (slot, vertex position) links."""
+
+    arities: tuple
+    corollas: tuple
+    branches: tuple
+    links: tuple
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _segal_shape(t: Tree) -> _SegalShape:
+    """What the Segal check reads of `t`, built once per tree so that the
+    checks of several dendroidal sets over one carrier share it."""
     verts = t.vertices
-    vert_pos = {v: i for i, v in enumerate(verts)}
-    counts = [None] * len(verts)
-    for vi in range(len(verts) - 1, -1, -1):
-        v = verts[vi]
-        kids = t.children(v)
-        links = [
-            (slot, vert_pos[c]) for slot, c in enumerate(kids) if not t.is_leaf(c)
-        ]
-        b = boundary[len(kids)]
-        distinct = list(b.index.values())
-        acc = {}
-        for root_val, leaf_vals in zip(b.root[distinct].tolist(), b.leaves[distinct].tolist()):
-            ways = 1
-            for slot, ci in links:
-                ways *= counts[ci].get(leaf_vals[slot], 0)
-                if ways == 0:
-                    break
-            if ways:
-                acc[root_val] = acc.get(root_val, 0) + ways
-        counts[vi] = acc
-    return sum(counts[0].values())
+    position = {v: i for i, v in enumerate(verts)}
+    links = tuple(
+        tuple((slot, position[c]) for slot, c in enumerate(t.children(v)) if c in position)
+        for v in verts
+    )
+    branches = [None] * len(verts)
+    for vi in range(len(verts) - 1, -1, -1):  # children come after their vertex
+        terms = ["*"] * len(t.children(verts[vi]))
+        for slot, ci in links[vi]:
+            terms[slot] = branches[ci]
+        branches[vi] = "(" + "".join(terms) + ")"
+    return _SegalShape(
+        tuple(len(t.children(v)) for v in verts),
+        tuple(subcorolla_inclusion(t, v) for v in verts),
+        tuple(branches),
+        links,
+    )
+
+
+def _core_count(shape: _SegalShape, boundary, memo):
+    """Number of core families by dynamic programming over the vertex tree,
+    grouping corolla values by their boundary restrictions.  A branch's
+    counts by root id depend on its shape alone, so `memo` keeps them by
+    branch term across the trees of one check."""
+
+    def counts(vi):
+        found = memo.get(shape.branches[vi])
+        if found is None:
+            kids = [(slot, counts(ci)) for slot, ci in shape.links[vi]]
+            found = {}
+            for _, root, leaves in boundary[shape.arities[vi]].rows:
+                ways = 1
+                for slot, below in kids:
+                    ways *= below.get(leaves[slot], 0)
+                    if not ways:
+                        break
+                if ways:
+                    found[root] = found.get(root, 0) + ways
+            memo[shape.branches[vi]] = found
+        return found
+
+    return sum(counts(0).values())
 
 
 def _value_columns(X, t: Tree, budget):
@@ -733,22 +921,38 @@ def _value_columns(X, t: Tree, budget):
     columns: per vertex, the position at the corolla of each value's
     restriction to the subcorolla there."""
     charge("segal check values", X.size(t), budget)
-    restrictions = [X.restrict_index(subcorolla_inclusion(t, v)) for v in t.vertices]
-    for v, r in zip(t.vertices, restrictions):
+    shape = _segal_shape(t)
+    restrictions = [X.restrict_index(m) for m in shape.corollas]
+    for k, r in zip(shape.arities, restrictions):
         _raise_first_error([r])
         if r.outside:
             value = r.outside[r.index[np.flatnonzero(r.index >= r.size)[0]] - r.size]
             raise DomainError(
                 "restriction is not a corolla value",
-                {"tree": corolla(len(t.children(v))).term, "value": str(value)},
+                {"tree": corolla(k).term, "value": str(value)},
             )
     return [r.index for r in restrictions]
 
 
+# Key spaces up to this many times the row count are scattered into rather
+# than sorted; a single-coloured nerve's key space is its value count.
+_SCATTER_RATIO = 8
+
+
 def _first_repeat(columns, radices):
-    """The first row of the stacked columns equal to an earlier row, or None."""
+    """The first row of the stacked columns equal to an earlier row, or None.
+    Below two rows there is none.  When the key space is small, one scatter
+    into it shows whether any row repeats; a repeat, or a larger key space,
+    is located with `np.unique`."""
     n = len(columns[0])
+    if n < 2:
+        return None
     keys = _row_keys(columns, radices, n)
+    if keys.ndim == 1 and math.prod(radices) <= _SCATTER_RATIO * n:
+        seen = np.zeros(math.prod(radices), dtype=bool)
+        seen[keys] = True
+        if np.count_nonzero(seen) == n:
+            return None
     _, first = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
     if len(first) == n:
         return None
@@ -757,37 +961,39 @@ def _first_repeat(columns, radices):
     return int(np.flatnonzero(repeated)[0])
 
 
-def _segal_failure(t: Tree, columns, boundary):
+def _segal_failure(t: Tree, columns, boundary, memo):
     """The failure record at `t`, or None.  Reports the first value, in value
     order, whose family repeats an earlier one or leaves the core; with
     neither, the map is injective into the core and is onto exactly when
-    the value count equals the core count."""
-    verts = t.vertices
-    arities = [len(t.children(v)) for v in verts]
-    vert_pos = {v: i for i, v in enumerate(verts)}
+    the value count equals the core count.  Once a value leaves the core,
+    only the values before it are searched further."""
+    shape = _segal_shape(t)
+    arities = shape.arities
     n = len(columns[0])
     first, reason = n, None
-    for vi, v in enumerate(verts):
-        for slot, c in enumerate(t.children(v)):
-            if t.is_leaf(c):
-                continue
-            ci = vert_pos[c]
-            leaf_ids = boundary[arities[vi]].leaves[columns[vi], slot]
-            root_ids = boundary[arities[ci]].root[columns[ci]]
-            outside = np.flatnonzero(leaf_ids != root_ids)
-            if outside.size and outside[0] < first:
-                first, reason = int(outside[0]), "image outside core"
+    for vi, links in enumerate(shape.links):
+        leaves = boundary[arities[vi]].leaves
+        for slot, ci in links:
+            if not first:
+                break
+            leaf_ids = np.take(leaves[:, slot], columns[vi][:first])
+            differ = leaf_ids != np.take(boundary[arities[ci]].root, columns[ci][:first])
+            i = int(differ.argmax())
+            if differ[i]:
+                first, reason = i, "image outside core"
     # a repeated family equals an earlier one, which would leave the core
     # first; so a repeat ahead of `first` is the earliest failure
-    repeat = _first_repeat(columns, [len(boundary[k].values) for k in arities])
-    if repeat is not None and repeat < first:
+    repeat = _first_repeat(
+        [column[:first] for column in columns], [len(boundary[k].values) for k in arities]
+    )
+    if repeat is not None:
         first, reason = repeat, "not injective"
     if reason is not None:
         family = tuple(
             boundary[k].values[column[first]] for k, column in zip(arities, columns)
         )
         return {"tree": t.term, "reason": reason, "family": str(family)}
-    core_count = _core_count(t, boundary)
+    core_count = _core_count(shape, boundary, memo)
     if n != core_count:
         return {
             "tree": t.term,
@@ -810,7 +1016,7 @@ def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
     if trees is None:
         raise DomainError("no carrier given for the Segal check")
     report = SegalReport(getattr(X, "name", "dendroidal set"))
-    boundary, strays = {}, {}
+    boundary, strays, memo = {}, {}, {}
     for t in trees:
         try:
             report.checked.append(t.term)
@@ -818,11 +1024,11 @@ def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
                 # the core is the value set itself and the map is the identity
                 X.values(t)
                 continue
-            for k in set(len(t.children(v)) for v in t.vertices):
+            for k in set(_segal_shape(t).arities):
                 if k not in boundary:
                     boundary[k] = _corolla_boundary(X, k, strays)
             columns = _value_columns(X, t, budget)
-            failure = _segal_failure(t, columns, boundary)
+            failure = _segal_failure(t, columns, boundary, memo)
             if failure is not None:
                 report.failures.append(failure)
         except DomainError as err:
@@ -833,6 +1039,23 @@ def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
 
 
 # -- operad reconstruction ----------------------------------------------------------
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _grafting(arities):
+    """The tree grafting a corolla of each arity in `arities` onto the
+    inputs of a root corolla; the maps of the root corolla and of each slot
+    corolla into it, in that order; and the map of the corolla on all its
+    leaves, slot by slot.  Built once per arity tuple, so that every
+    reconstruction shares it."""
+    tree, cmap = grafted_two_level_tree(arities)
+    maps = [{(): ()} | {(j,): cmap[(j,)] for j in range(len(arities))}]
+    for j, k in enumerate(arities):
+        maps.append({(): cmap[(j,)]} | {(i,): cmap[(j, i)] for i in range(k)})
+    family = tuple(OmegaMorphism(corolla(len(mp) - 1), tree, mp, _checked=True) for mp in maps)
+    leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
+    total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
+    return tree, family, OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
 
 
 class ReconstructedOperad(FiniteOperad):
@@ -872,10 +1095,9 @@ class ReconstructedOperad(FiniteOperad):
         self.check_arity(n)
         if n not in self._homs:
             b = self._corolla(n)
-            distinct = list(b.index.values())
             groups = {}
-            for p, root, leaves in zip(distinct, b.root[distinct].tolist(), b.leaves[distinct].tolist()):
-                groups.setdefault((tuple(leaves), root), []).append(b.values[p])
+            for p, root, leaves in b.rows:
+                groups.setdefault((leaves, root), []).append(b.values[p])
             self._homs[n] = {key: tuple(els) for key, els in groups.items()}
         ids = self._color_ids
         return self._homs[n].get((tuple(ids.get(c) for c in inputs), ids.get(output)), ())
@@ -909,17 +1131,11 @@ class ReconstructedOperad(FiniteOperad):
         the root corolla, leaf j at slot j, and to each slot's corolla.  The
         grafted tree's values are counted first, so that a tree outside a
         table set's carrier is named as such."""
-        tree, cmap = grafted_two_level_tree(arities)
+        tree, family_maps, total_map = _grafting(arities)
         indexes = [self._corolla(k).index for k in (n, *arities)]
         size = self.X.size(tree)
         charge("reconstruction graft values", size, self.budget)
-        maps = [{(): ()} | {(j,): cmap[(j,)] for j in range(n)}]
-        for j, k in enumerate(arities):
-            maps.append({(): cmap[(j,)]} | {(i,): cmap[(j, i)] for i in range(k)})
-        family = [
-            self.X.restrict_index(OmegaMorphism(corolla(len(mp) - 1), tree, mp, _checked=True))
-            for mp in maps
-        ]
+        family = [self.X.restrict_index(m) for m in family_maps]
         _raise_first_error(family)
         keys = list(zip(*(r.index.tolist() for r in family)))
         if len(set(keys)) < size:
@@ -927,11 +1143,8 @@ class ReconstructedOperad(FiniteOperad):
                 "grafted tree value restricts non-uniquely; "
                 "the dendroidal set is not strict Segal"
             )
-        leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
-        total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
-        m = OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
-        total = self.X.restrict_index(m)
-        values = tuple(self.X.values(m.source)) if total.size else ()
+        total = self.X.restrict_index(total_map)
+        values = tuple(self.X.values(total_map.source)) if total.size else ()
         return indexes, dict(zip(keys, total.index.tolist())), total, values
 
     def sigma(self, element, sig, perm):

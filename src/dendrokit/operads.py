@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import BudgetExceeded, DomainError, charge, resolve_budget
 from .morphisms import _input_sets
@@ -155,6 +156,12 @@ def com_operad():
 # -- the associative operad --------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _linear_orders(n):
+    """The n! orders of n slots, built once per arity."""
+    return tuple(itertools.permutations(range(n)))
+
+
 class AssOperad(FiniteOperad):
     """Elements of arity n are the n! linear orders of the input slots,
     stored as tuples listing slot indices in multiplication order."""
@@ -167,7 +174,7 @@ class AssOperad(FiniteOperad):
 
     def hom(self, inputs, output):
         self.check_arity(len(inputs))
-        return tuple(itertools.permutations(range(len(inputs))))
+        return _linear_orders(len(inputs))
 
     def identity(self, color):
         return (0,)
@@ -519,6 +526,8 @@ class FreeOperad(FiniteOperad):
 
     def compose(self, parent, parent_sig, children, child_sigs):
         arities = [len(s.inputs) for s in child_sigs]
+        if all(k == 1 and child == ("leaf", 0) for k, child in zip(arities, children)):
+            return self.canonical(parent)  # what substituting identities gives
 
         def substitute(term):
             if term[0] == "leaf":

@@ -105,7 +105,9 @@ def _canonicalize(node):
 class Tree:
     """A canonical rooted tree.  Hashable; equality includes edge labels."""
 
-    __slots__ = ("_node", "_nodes", "_children", "_edges", "_key", "_hash", "_leaves", "_vertices")
+    __slots__ = (
+        "_node", "_nodes", "_children", "_edges", "_key", "_term", "_hash", "_leaves", "_vertices"
+    )
 
     def __init__(self, node, _canonical=False):
         if not _canonical:
@@ -117,6 +119,7 @@ class Tree:
         self._children = children
         self._edges = tuple(sorted(nodes))
         self._key = _node_key(node)
+        self._term = None
         self._hash = hash(node)
         self._leaves = tuple(a for a in self._edges if nodes[a][0] is LEAF)
         self._vertices = tuple(a for a in self._edges if nodes[a][0] is not LEAF)
@@ -130,8 +133,11 @@ class Tree:
 
     @property
     def term(self):
-        """Canonical term including any ``@name`` labels."""
-        return _node_term(self._node)
+        """Canonical term including any ``@name`` labels, serialized when
+        first read."""
+        if self._term is None:
+            self._term = _node_term(self._node)
+        return self._term
 
     @property
     def edges(self):

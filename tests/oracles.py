@@ -24,7 +24,11 @@ generator actions value by value; the library's composes them as gathers.
 The reference table JSON writer orders entries by stringifying whole items;
 the library's orders them by the repr of their keys.  The reference Segal core
 lists every family of corolla values agreeing on shared edges; the library
-only counts them.  The reference stratification order is the transitive
+only counts them.  The reference index-column check compares every inner
+edge over all values, sorts every tree's family keys and counts every
+branch of the core afresh; the library stops at the first value leaving
+the core, scatters the keys when their space is small and counts each
+branch shape once per check.  The reference stratification order is the transitive
 closure of single inner-edge contractions, found by walking each labelled
 tree; the library compares nested sets.  The reference labelled-tree
 canonical form, term, nested set and valences re-serialize or walk every
@@ -55,7 +59,10 @@ representative and its serialization together, bottom-up, and keeps both.
 """
 
 import itertools
+import math
 from functools import lru_cache
+
+import numpy as np
 
 from dendrokit.dendroidal import (
     ETA,
@@ -889,6 +896,94 @@ def tuple_strict_segal(X, trees=None, budget=None) -> SegalReport:
                 {"tree": t.term, "reason": "restriction unavailable", "detail": err.payload()}
             )
     return report
+
+
+# -- the strict-Segal check on index columns, without memos or scatters ----------
+
+
+def index_core_count(t: Tree, boundary):
+    """Number of core families by dynamic programming over the vertex tree,
+    grouping corolla values by their boundary restrictions; every branch is
+    counted afresh."""
+    verts = t.vertices
+    vert_pos = {v: i for i, v in enumerate(verts)}
+    counts = [None] * len(verts)
+    for vi in range(len(verts) - 1, -1, -1):
+        v = verts[vi]
+        kids = t.children(v)
+        links = [
+            (slot, vert_pos[c]) for slot, c in enumerate(kids) if not t.is_leaf(c)
+        ]
+        b = boundary[len(kids)]
+        distinct = list(b.index.values())
+        acc = {}
+        for root_val, leaf_vals in zip(b.root[distinct].tolist(), b.leaves[distinct].tolist()):
+            ways = 1
+            for slot, ci in links:
+                ways *= counts[ci].get(leaf_vals[slot], 0)
+                if ways == 0:
+                    break
+            if ways:
+                acc[root_val] = acc.get(root_val, 0) + ways
+        counts[vi] = acc
+    return sum(counts[0].values())
+
+
+def sorting_first_repeat(columns, radices):
+    """The first row of the stacked columns equal to an earlier row, or None,
+    found by sorting their mixed-radix keys (the rows themselves when a key
+    could overflow)."""
+    n = len(columns[0])
+    if math.prod(radices) >= 2**63:
+        keys = np.stack(columns, axis=1)
+    else:
+        keys = np.zeros(n, dtype=np.int64)
+        for column, radix in zip(columns, radices):
+            keys = keys * radix + column
+    _, first = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
+    if len(first) == n:
+        return None
+    repeated = np.ones(n, dtype=bool)
+    repeated[first] = False
+    return int(np.flatnonzero(repeated)[0])
+
+
+def index_segal_failure(t: Tree, columns, boundary):
+    """The failure record at `t`, or None, from the corolla columns of its
+    values: every inner edge compared over all values, injectivity by
+    `sorting_first_repeat` and the core by `index_core_count`."""
+    verts = t.vertices
+    arities = [len(t.children(v)) for v in verts]
+    vert_pos = {v: i for i, v in enumerate(verts)}
+    n = len(columns[0])
+    first, reason = n, None
+    for vi, v in enumerate(verts):
+        for slot, c in enumerate(t.children(v)):
+            if t.is_leaf(c):
+                continue
+            ci = vert_pos[c]
+            leaf_ids = boundary[arities[vi]].leaves[columns[vi], slot]
+            root_ids = boundary[arities[ci]].root[columns[ci]]
+            outside = np.flatnonzero(leaf_ids != root_ids)
+            if outside.size and outside[0] < first:
+                first, reason = int(outside[0]), "image outside core"
+    repeat = sorting_first_repeat(columns, [len(boundary[k].values) for k in arities])
+    if repeat is not None and repeat < first:
+        first, reason = repeat, "not injective"
+    if reason is not None:
+        family = tuple(
+            boundary[k].values[column[first]] for k, column in zip(arities, columns)
+        )
+        return {"tree": t.term, "reason": reason, "family": str(family)}
+    core_count = index_core_count(t, boundary)
+    if n != core_count:
+        return {
+            "tree": t.term,
+            "reason": "not surjective",
+            "value_count": n,
+            "core_count": core_count,
+        }
+    return None
 
 
 # -- the operad axioms, recomputed per instance ------------------------------------

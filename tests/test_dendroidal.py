@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,12 @@ import pytest
 
 from dendrokit.dendroidal import (
     TableDendroidalSet,
+    _core_count,
     _corolla_boundary,
     _first_repeat,
+    _restriction_plan,
+    _segal_failure,
+    _segal_shape,
     _value_columns,
     carrier_closure,
     edge_inclusion,
@@ -177,6 +182,42 @@ class TestRestriction:
                 right_f = restriction_of(X, f)
                 for x in X.values(C):
                     assert left(x) == right_f(right_g(x))
+
+    def test_each_value_raises_its_own_error(self):
+        # two missing entries fail two rows of one composition: each value
+        # reports the error of its own failed call
+        P = load_operad("ass.operad.json")
+        keys = [k for k in P.composition_keys() if tuple(len(s[0]) for s in k[3]) == (1, 2)]
+        for key in keys[:2]:
+            del P._comp[key]
+        mismatches, kinds = compare_restrictions(P, enumerate_trees_by_vertices(2, 3))
+        assert mismatches == []
+        assert kinds["missing composition table entry"] > 1
+
+    def test_equal_maps_restrict_alike(self):
+        # plans are kept per map, whatever the operad: a map rebuilt from
+        # separately parsed trees restricts as the first did, with the plans
+        # compiled afresh, kept from another operad's nerve, or kept from it
+        carrier = enumerate_trees_by_vertices(3, 2)
+        maps = [m for s in carrier for t in carrier for m in hom_set(s, t)]
+        twins = [
+            OmegaMorphism(parse_tree(m.source.term), parse_tree(m.target.term), m.map)
+            for m in maps
+        ]
+
+        def restrictions(P, along):
+            X = nerve(P)
+            return [
+                (r.index.tolist(), r.size, r.outside, [e.payload() for e in r.errors])
+                for r in map(X.restrict_index, along)
+            ]
+
+        _restriction_plan.cache_clear()
+        fresh = restrictions(end_operad((0, 1), 2), maps)
+        _restriction_plan.cache_clear()
+        restrictions(com_operad(), maps)
+        assert restrictions(end_operad((0, 1), 2), twins) == fresh
+        assert restrictions(end_operad((0, 1), 2), maps) == fresh
 
 
 class TestSegalCore:
@@ -363,6 +404,74 @@ class TestSegalIndexColumns:
             is_strict_segal(nerve(ass_operad(4), budget=1000), carrier)
         detail = err.value.detail
         assert (detail["operation"], detail["estimate"]) == ("nerve values", 1152)
+
+
+INDEX_ORACLE_CASES = {
+    "com": lambda: (nerve(com_operad()), enumerate_trees_by_vertices(4, 4)),
+    "ass": lambda: (nerve(ass_operad(4)), enumerate_trees_by_vertices(4, 4)),
+    "free": lambda: (
+        nerve(free_operad(one_binary_generator(), 4)),
+        enumerate_trees_by_vertices(4, 4),
+    ),
+    "end01": lambda: (nerve(end_operad((0, 1), 2)), enumerate_trees_by_vertices(4, 2)),
+    # one color per edge, so that edges and slots are told apart
+    "omega": lambda: (
+        nerve(omega_operad(parse_tree("((**)(**))"))),
+        enumerate_trees_by_vertices(3, 3),
+    ),
+    **{case: SEGAL_CASES[case] for case in ("not-injective", "outside-core", "not-surjective")},
+}
+
+
+class TestSegalMatchesIndexOracle:
+    """The check's core counts (memoized per branch) and failure records
+    (scattered keys, values searched only up to the first leaving the core)
+    agree tree by tree with the oracle's, which recount and sort whole."""
+
+    @pytest.mark.parametrize("case", list(INDEX_ORACLE_CASES))
+    def test_core_counts_and_reports(self, case):
+        X, carrier = INDEX_ORACLE_CASES[case]()
+        carrier = carrier or X.trees
+        boundary, strays, memo, failures = {}, {}, {}, []
+        for t in carrier:
+            if not t.vertices:
+                continue
+            for k in set(len(t.children(v)) for v in t.vertices):
+                if k not in boundary:
+                    boundary[k] = _corolla_boundary(X, k, strays)
+            counted = _core_count(_segal_shape(t), boundary, memo)
+            assert counted == oracles.index_core_count(t, boundary)
+            columns = _value_columns(X, t, None)
+            expected = oracles.index_segal_failure(t, columns, boundary)
+            assert _segal_failure(t, columns, boundary, memo) == expected
+            failures += [expected] if expected else []
+        assert is_strict_segal(X, carrier).failures == failures
+        assert bool(failures) == (case in EXPECTED_REASONS)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_repeat_matches_sorting_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 2, 3, 17, 200):
+            for radices in ([3], [2, 3, 4], [5, 1, 7], [40, 50, 60], [2**32, 2**32]):
+                space = math.prod(radices)
+                if space >= n:  # distinct rows, then one row made to repeat
+                    keys = rng.choice(min(space, 2**40), size=n, replace=False)
+                else:
+                    keys = rng.integers(0, space, size=n)
+                rows = np.zeros((n, len(radices)), dtype=np.int64)
+                for i, key in enumerate(keys.tolist()):
+                    for j in reversed(range(len(radices))):
+                        key, rows[i, j] = divmod(key, radices[j])
+                cases = [rows]
+                if n > 2:
+                    twice = rows.copy()
+                    i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+                    twice[j] = twice[i]
+                    cases.append(twice)
+                for case in cases:
+                    columns = [np.ascontiguousarray(case[:, i]) for i in range(len(radices))]
+                    expected = oracles.sorting_first_repeat(columns, radices)
+                    assert _first_repeat(columns, radices) == expected
 
 
 class TestTableSets:

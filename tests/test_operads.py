@@ -50,6 +50,11 @@ class TestCom:
 
 
 class TestAss:
+    def test_hom_is_one_tuple_per_arity(self):
+        pools = [ass_operad(bound).hom(("x",) * 3, "x") for bound in (3, 4)]
+        assert pools[0] is pools[1]
+        assert pools[0] == tuple(itertools.permutations(range(3)))
+
     def test_sizes(self):
         A = ass_operad(4)
         assert len(A.hom(("x",) * 3, "x")) == 6
