@@ -267,9 +267,14 @@ def operad_build_free(levels, arity_bound, as_json):
 # -- dendroidal sets --------------------------------------------------------------
 
 
+def _parse_trees(terms):
+    """The trees named by `terms`, each once, in order of first occurrence."""
+    return list(dict.fromkeys(map(parse_tree_arg, terms)))
+
+
 def _carrier(operad_obj, max_vertices, max_inputs, terms):
     if terms:
-        return [parse_tree_arg(t) for t in terms]
+        return _parse_trees(terms)
     bound = max_inputs
     if operad_obj.arity_bound is not None:
         bound = min(bound, operad_obj.arity_bound)
@@ -317,9 +322,7 @@ def segal_check(operad_spec, dendroidal_spec, terms, max_vertices, max_inputs):
         X = dnd.nerve(P, trees=carrier)
     else:
         X = load_dendroidal(dendroidal_spec)
-        carrier = list(X.trees)
-        if terms:
-            carrier = [parse_tree_arg(t) for t in terms]
+        carrier = _parse_trees(terms) if terms else list(X.trees)
     report = dnd.is_strict_segal(X, carrier)
     if not report.passed:
         raise DendroError("strict Segal check failed", report.to_json())

@@ -8,7 +8,8 @@ value's restriction at ``m.source``; ``size(t)`` counts the values at ``t``.
 
 - :class:`NerveDendroidalSet` is the nerve of a finite operad: a value is a
   color per edge and an operation per vertex, laid out in blocks, one per
-  edge coloring, each the product of its vertices' hom-sets.  A restriction
+  edge coloring, each the product of its vertices' hom-sets and described
+  by one record (:class:`_Block`).  A restriction
   runs a plan compiled once per map (`_restriction_plan`, shared by the
   nerves of all operads) on whole blocks of the target: one step per source
   vertex, compiled from the operation witness it lands on.  A pick, a
@@ -31,11 +32,10 @@ the corolla of each value's restriction there.  The check compares boundary
 ids per inner edge up to the first value leaving the core, tests
 injectivity on mixed-radix keys of the columns (one scatter when the key
 space is small, `np.unique` otherwise), and counts the core by dynamic
-programming over the vertex tree, each branch shape once per check.  What
-it reads of a tree (arities, links, subcorolla maps) is built once per
-tree.  Reconstruction groups corolla values by boundary ids into hom-sets
-and inverts the Segal bijection on a grafted tree through its values'
-positions, the grafted tree and its maps built once per arity tuple; its
+programming over the vertex tree.  What it reads of a tree (arities,
+links, subcorolla maps) is built once per tree.  Reconstruction groups
+corolla values by boundary ids into hom-sets and inverts the Segal
+bijection on a grafted tree through its values' positions; its
 isomorphism to the operad is checked in `dendrokit.laws`.
 """
 
@@ -60,7 +60,7 @@ from .morphisms import (
     factorize,
     operation_exists,
 )
-from .operads import FiniteOperad, Signature
+from .operads import FiniteOperad, Signature, first_positions
 from .trees import (
     Tree,
     automorphisms,
@@ -104,18 +104,6 @@ def leaf_relabel_automorphism(n, perm) -> OmegaMorphism:
     for i in range(n):
         edge_map[(i,)] = (perm[i],)
     return OmegaMorphism(t, t, edge_map, _checked=True)
-
-
-def grafted_two_level_tree(child_arities):
-    """The tree with a root vertex whose j-th input carries a vertex
-    with child_arities[j] leaf inputs.  Returns (tree, address map): the map
-    sends the raw address (j,) of slot j and (j, i) of its i-th leaf to
-    their canonical addresses in the tree."""
-    raw_children = []
-    for k in child_arities:
-        raw_children.append((tuple((None, None) for _ in range(k)), None))
-    canon, cmap = canonicalize_node((tuple(raw_children), None))
-    return Tree(canon, _canonical=True), cmap
 
 
 # -- restrictions as positions ---------------------------------------------------
@@ -184,11 +172,6 @@ def _distinct_rows(columns, radices, n):
     return first, inverse.reshape(-1)
 
 
-def _strides(pools):
-    """Per vertex, the distance between values differing only there."""
-    return [math.prod(map(len, pools[i + 1 :])) for i in range(len(pools))]
-
-
 def _expand(ids, table, n):
     """``table[ids]`` for an id column of n values, or for a digit column
     (radix, stride): the digit of each position in that mixed radix."""
@@ -203,31 +186,61 @@ def _expand(ids, table, n):
 # -- nerve ---------------------------------------------------------------------
 
 
+class _Hom(NamedTuple):
+    """One signature's hom pool, the first position of each of its
+    elements, and those positions in pool order."""
+
+    pool: tuple
+    where: dict
+    firsts: np.ndarray
+
+
+class _Block(NamedTuple):
+    """One edge coloring's block of the values at a tree: the coloring, its
+    colors in edge order, and per vertex its hom pool, its :class:`_Hom` and
+    its stride, the distance between values differing only there; then the
+    block's first position and its value count.  The block's values are the
+    product of the pools, the last vertex varying fastest."""
+
+    coloring: dict
+    colors: tuple
+    pools: list
+    homs: list
+    strides: list
+    offset: int
+    size: int
+
+
+class _Blocks(dict):
+    """A tree's value blocks keyed by their colors, and their value count."""
+
+    size = 0
+
+
 class NerveValues(Sequence):
     """The values at a tree, a read-only sequence over its value blocks.
 
     Value i lies in the block whose offset is the last at or below i, and its
-    position in the block is the mixed-radix number of its decorations' pool
-    positions, the last vertex varying fastest.  Equal, in both directions,
-    to the tuple of the same values, but unhashable.  Iteration runs at C
-    speed; each index decodes its value in Python, so a caller that reads
-    by index many times converts the view to a tuple once.
+    digit at each vertex is its position in the block over that vertex's
+    stride, modulo its pool's length.  Equal, in both directions, to the
+    tuple of the same values, but unhashable.  Iteration runs at C speed;
+    each index decodes its value in Python, so a caller that reads by index
+    many times converts the view to a tuple once.
     """
 
-    __slots__ = ("_term", "_colors", "_pools", "_offsets")
+    __slots__ = ("_term", "_blocks", "_len")
 
     def __init__(self, t: Tree, blocks):
         self._term = t.term
-        self._colors = [tuple(coloring[e] for e in t.edges) for coloring, _, _ in blocks]
-        self._pools = [pools for _, pools, _ in blocks]
-        self._offsets = list(itertools.accumulate((n for *_, n in blocks), initial=0))
+        self._blocks = list(blocks.values())
+        self._len = blocks.size
 
     def __len__(self):
-        return self._offsets[-1]
+        return self._len
 
     def __iter__(self):
-        for colors, pools in zip(self._colors, self._pools):
-            yield from zip(itertools.repeat(colors), itertools.product(*pools))
+        for b in self._blocks:
+            yield from zip(itertools.repeat(b.colors), itertools.product(*b.pools))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -236,12 +249,9 @@ class NerveValues(Sequence):
         if not -n <= i < n:
             raise IndexError("nerve value index out of range")
         i %= n
-        block = bisect.bisect_right(self._offsets, i) - 1
-        rest, decorations = i - self._offsets[block], []
-        for pool in reversed(self._pools[block]):
-            rest, digit = divmod(rest, len(pool))
-            decorations.append(pool[digit])
-        return self._colors[block], tuple(reversed(decorations))
+        b = self._blocks[bisect.bisect_right(self._blocks, i, key=lambda b: b.offset) - 1]
+        rest = i - b.offset
+        return b.colors, tuple(p[rest // s % len(p)] for p, s in zip(b.pools, b.strides))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, NerveValues)):
@@ -249,7 +259,7 @@ class NerveValues(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self):
-        return f"<nerve values at {self._term}: {len(self)} in {len(self._pools)} blocks>"
+        return f"<nerve values at {self._term}: {len(self)} in {len(self._blocks)} blocks>"
 
 
 # Trees whose value blocks a nerve keeps, the least recently met going
@@ -257,10 +267,10 @@ class NerveValues(Sequence):
 # a materialized carrier of up to this many trees is laid out once.
 _BLOCKS_KEPT = 128
 
-# Restriction plans, Segal shapes and graftings kept, one per map, tree or
-# arity tuple: above the subcorolla maps of a Segal check on the trees of
-# (4, 4) and the maps of a round trip at arity 5, so that the nerves of
-# several operads met in turn share them.
+# Restriction plans and Segal shapes kept, one per map or tree: above the
+# subcorolla maps of a Segal check on the trees of (4, 4) and the maps of a
+# round trip at arity 5, so that the nerves of several operads met in turn
+# share them.
 _CACHE_SIZE = 8192
 
 _PICK, _IDENTITY, _COMPOSE = range(3)
@@ -303,27 +313,6 @@ def _restriction_plan(source: Tree, target: Tree, images):
     return tuple(steps)
 
 
-class _Hom(NamedTuple):
-    """One signature's hom pool, the first position of each of its
-    elements, and those positions in pool order."""
-
-    pool: tuple
-    where: dict
-    firsts: np.ndarray
-
-
-class _Placement(NamedTuple):
-    """Where one coloring's block of values at a source tree lies: its
-    first position, each vertex's hom and stride, and per vertex the
-    position offset of each pool element, its first position times the
-    stride."""
-
-    offset: int
-    homs: list
-    strides: list
-    scaled: list
-
-
 class NerveDendroidalSet:
     """The dendroidal nerve of a finite operad.
 
@@ -334,15 +323,14 @@ class NerveDendroidalSet:
     over the value blocks, which are built when it is called; unlike a
     table's tuple it cannot be hashed or added, so code that needs those, or
     reads by index many times, converts it with `tuple()`.  It keeps each
-    signature's hom pool, the value blocks of the trees it met last and the
-    layout of every tree restricted along.
+    signature's hom and the value blocks of the trees it met last.
     """
 
     def __init__(self, operad: FiniteOperad, trees=None, budget=None):
         self.operad = operad
         self.trees = tuple(trees) if trees is not None else None
         self.budget = budget
-        self._blocks, self._layouts, self._homs = {}, {}, {}
+        self._blocks, self._homs = {}, {}
 
     @property
     def name(self):
@@ -352,7 +340,7 @@ class NerveDendroidalSet:
         return NerveValues(t, self.value_blocks(t))
 
     def size(self, t: Tree):
-        return sum(size for *_, size in self.value_blocks(t))
+        return self.value_blocks(t).size
 
     def _hom(self, inputs, output) -> _Hom:
         """The hom of one signature, asked of the operad once, so that equal
@@ -360,23 +348,14 @@ class NerveDendroidalSet:
         h = self._homs.get((inputs, output))
         if h is None:
             pool = self.operad.hom(inputs, output)
-            where = {}
-            for i, el in enumerate(pool):
-                where.setdefault(el, i)
+            where = first_positions(pool)
             firsts = np.array([where[el] for el in pool], dtype=np.int64)
             h = self._homs[inputs, output] = _Hom(pool, where, firsts)
         return h
 
-    def _vertex_homs(self, t: Tree, coloring):
-        return [
-            self._hom(tuple(coloring[c] for c in t.children(v)), coloring[v]) for v in t.vertices
-        ]
-
     def value_blocks(self, t: Tree):
-        """The values at `t` in blocks, one per edge coloring in value order:
-        (coloring, hom pool at each vertex, block size).  Within a block the
-        values are the product of the pools, the last vertex varying
-        fastest."""
+        """The values at `t` in blocks (:class:`_Blocks`), one :class:`_Block`
+        per edge coloring."""
         blocks = self._blocks.pop(t, None)
         if blocks is not None:
             self._blocks[t] = blocks  # the latest met go last
@@ -389,20 +368,28 @@ class NerveDendroidalSet:
                     "tree exceeds operad arity bound",
                     {"tree": t.term, "bound": P.arity_bound},
                 )
-        blocks = []
-        total = 0
+        blocks, offset = _Blocks(), 0
         for coloring in self._colorings(t):
-            pools = [h.pool for h in self._vertex_homs(t, coloring)]
-            size = math.prod(map(len, pools))
-            total += size
-            charge("nerve values", total, self.budget)
-            blocks.append((coloring, pools, size))
+            sigs = [(tuple(coloring[c] for c in t.children(v)), coloring[v]) for v in t.vertices]
+            homs = [self._hom(*sig) for sig in sigs]
+            pools = [h.pool for h in homs]
+            strides, size = [], 1
+            for pool in reversed(pools):
+                strides.insert(0, size)
+                size *= len(pool)
+            colors = tuple(coloring.values())  # a coloring is built in edge order
+            blocks[colors] = _Block(coloring, colors, pools, homs, strides, offset, size)
+            offset += size
+            charge("nerve values", offset, self.budget)
+        blocks.size = offset
         if len(self._blocks) == _BLOCKS_KEPT:
             del self._blocks[next(iter(self._blocks))]
         self._blocks[t] = blocks
         return blocks
 
     def _colorings(self, t: Tree):
+        """The colorings of `t` with a nonempty hom at every vertex, each a
+        dict built in edge order."""
         P = self.operad
         if len(P.colors) == 1:
             return [{e: P.colors[0] for e in t.edges}]
@@ -430,51 +417,37 @@ class NerveDendroidalSet:
             charge("nerve colorings", len(colorings), self.budget)
         return colorings
 
-    def _layout(self, t: Tree):
-        """Per coloring of `t` (its colors in edge order) its block's
-        :class:`_Placement`; and the value count.  Beyond the arity bound:
-        no values."""
-        found = self._layouts.get(t)
-        if found is not None:
-            return found
-        try:
-            blocks = self.value_blocks(t)
-        except DomainError:
-            blocks = []
-        layout, size = {}, 0
-        for coloring, pools, n in blocks:
-            homs, strides = self._vertex_homs(t, coloring), _strides(pools)
-            scaled = [h.firsts * stride for h, stride in zip(homs, strides)]
-            layout[tuple(coloring[e] for e in t.edges)] = _Placement(size, homs, strides, scaled)
-            size += n
-        found = self._layouts[t] = layout, size
-        return found
-
     def restrict_index(self, m: OmegaMorphism) -> Restriction:
         """The contravariant action along `m`: per coloring of the target,
         the plan of `m` (`_restriction_plan`) runs on its whole block
         (`_run_block`) and each result is placed by its coloring and
-        decorations at the source.  A decoration picked from a target
-        vertex lies in the same pool at the source, so it is placed by one
-        gather; a result no source block holds, such as a composite outside
-        its hom-set, is an outside value."""
+        decorations at the source, in the source block of its colors.  A
+        decoration picked from a target vertex lies in the same pool at the
+        source, so it is placed by one gather; a result no source block
+        holds, such as a composite outside its hom-set, is an outside value.
+        A source beyond the arity bound has no values."""
         steps = _restriction_plan(m.source, m.target, m._items)
-        layout, size = self._layout(m.source)
+        try:
+            source = self.value_blocks(m.source)
+        except DomainError:
+            source = _Blocks()
+        size = source.size
         outside, errors, columns = {}, [], []
-        for coloring, pools, n in self.value_blocks(m.target):
+        for block in self.value_blocks(m.target).values():
+            n = block.size
             if not n:
                 continue
             known = len(errors)
-            decorations, failed = _run_block(self.operad, steps, coloring, pools, n, errors)
-            source_colors = tuple(map(coloring.__getitem__, m._items))
+            decorations, failed = _run_block(self.operad, steps, block, errors)
+            source_colors = tuple(map(block.coloring.__getitem__, m._items))
             # a decoration or coloring the source does not hold adds `size`
-            at = layout.get(source_colors)
+            at = source.get(source_colors)
             unheld = at is None or len(errors) > known
             ids = None
-            placed = zip(decorations, at.homs, at.scaled, at.strides) if at else ()
-            for (column, els), h, scaled, stride in placed:
+            placed = zip(decorations, at.homs, at.strides) if at is not None else ()
+            for (column, els), h, stride in placed:
                 if els is h.pool:
-                    table = scaled
+                    table = h.firsts if stride == 1 else h.firsts * stride
                 else:
                     lookup = [h.where.get(el, size) for el in els]
                     unheld = unheld or size in lookup
@@ -505,10 +478,10 @@ class NerveDendroidalSet:
         return ";".join(parts) if parts else "*"
 
 
-def _digit(pools, vertex):
+def _digit(block, vertex):
     """The digit column of `vertex` in a block's positions, and its pool."""
-    pool = pools[vertex]
-    return (len(pool), math.prod(map(len, pools[vertex + 1 :]))), pool
+    pool = block.pools[vertex]
+    return (len(pool), block.strides[vertex]), pool
 
 
 def _call_rows(fn, rows, errors):
@@ -530,8 +503,8 @@ def _call_rows(fn, rows, errors):
     return results, codes
 
 
-def _run_block(P, steps, coloring, pools, n, errors):
-    """Run the plan `steps` on every value of one coloring block.
+def _run_block(P, steps, block, errors):
+    """Run the plan `steps` on every value of one :class:`_Block`.
 
     A column is (ids, elements), ``elements[ids[i]]`` for value i.  A pick
     is the digit column (radix, stride) of its vertex in the value's
@@ -545,7 +518,7 @@ def _run_block(P, steps, coloring, pools, n, errors):
     gives a digit column again.  Returns one column per step and each
     value's error id (0 for none; None while no call has failed).
     """
-    failed = None
+    coloring, n, failed = block.coloring, block.size, None
 
     def call(fn, operands):
         nonlocal failed
@@ -587,7 +560,7 @@ def _run_block(P, steps, coloring, pools, n, errors):
         if kind == _IDENTITY:
             out = coloring[step[1]]
             return call(lambda: P.identity(out), []), Signature((out,), out)
-        decoration = _digit(pools, step[1])
+        decoration = _digit(block, step[1])
         if kind == _PICK:
             return decoration, signature(step)
         *_, child_steps, perm = step
@@ -604,7 +577,7 @@ def _run_block(P, steps, coloring, pools, n, errors):
         column = call(compose, [decoration] + [column for column, _ in children])
         return column, Signature(inputs if perm is None else tuple(inputs[i] for i in perm), out)
 
-    columns = [_digit(pools, step[1]) if step[0] == _PICK else evaluate(step)[0] for step in steps]
+    columns = [_digit(block, step[1]) if step[0] == _PICK else evaluate(step)[0] for step in steps]
     return columns, failed
 
 
@@ -679,9 +652,7 @@ class TableDendroidalSet:
                     remap.append(-len(errors))
             ids, pool = _gather(ids, remap), images
         held = self._values.get(m.source, ())
-        first = {}
-        for p, el in enumerate(held):
-            first.setdefault(el, p)
+        first = first_positions(held)
         outside = [el for el in pool if el not in first]
         first.update((el, len(held) + j) for j, el in enumerate(outside))
         return Restriction(_gather(ids, [first[el] for el in pool]), len(held), outside, errors)
@@ -819,9 +790,7 @@ def _corolla_boundary(X, k, strays):
     tk = corolla(k)
     edges = [X.restrict_index(edge_inclusion(tk, e)) for e in [()] + [(i,) for i in range(k)]]
     values = tuple(X.values(tk))
-    index = {}
-    for p, el in enumerate(values):
-        index.setdefault(el, p)
+    index = first_positions(values)
     _raise_first_error(edges[:1])
     if k:
         _raise_first_error(edges[1:])
@@ -858,12 +827,10 @@ class SegalReport:
 
 class _SegalShape(NamedTuple):
     """Per vertex of a tree, in vertex order: its arity, its subcorolla
-    inclusion, the unlabelled term of the branch above it, and its inner
-    inputs as (slot, vertex position) links."""
+    inclusion, and its inner inputs as (slot, vertex position) links."""
 
     arities: tuple
     corollas: tuple
-    branches: tuple
     links: tuple
 
 
@@ -877,40 +844,29 @@ def _segal_shape(t: Tree) -> _SegalShape:
         tuple((slot, position[c]) for slot, c in enumerate(t.children(v)) if c in position)
         for v in verts
     )
-    branches = [None] * len(verts)
-    for vi in range(len(verts) - 1, -1, -1):  # children come after their vertex
-        terms = ["*"] * len(t.children(verts[vi]))
-        for slot, ci in links[vi]:
-            terms[slot] = branches[ci]
-        branches[vi] = "(" + "".join(terms) + ")"
     return _SegalShape(
         tuple(len(t.children(v)) for v in verts),
         tuple(subcorolla_inclusion(t, v) for v in verts),
-        tuple(branches),
         links,
     )
 
 
-def _core_count(shape: _SegalShape, boundary, memo):
+def _core_count(shape: _SegalShape, boundary):
     """Number of core families by dynamic programming over the vertex tree,
-    grouping corolla values by their boundary restrictions.  A branch's
-    counts by root id depend on its shape alone, so `memo` keeps them by
-    branch term across the trees of one check."""
+    grouping corolla values by their boundary restrictions: per vertex, the
+    families of the branch above it counted by their root id."""
 
     def counts(vi):
-        found = memo.get(shape.branches[vi])
-        if found is None:
-            kids = [(slot, counts(ci)) for slot, ci in shape.links[vi]]
-            found = {}
-            for _, root, leaves in boundary[shape.arities[vi]].rows:
-                ways = 1
-                for slot, below in kids:
-                    ways *= below.get(leaves[slot], 0)
-                    if not ways:
-                        break
-                if ways:
-                    found[root] = found.get(root, 0) + ways
-            memo[shape.branches[vi]] = found
+        kids = [(slot, counts(ci)) for slot, ci in shape.links[vi]]
+        found = {}
+        for _, root, leaves in boundary[shape.arities[vi]].rows:
+            ways = 1
+            for slot, below in kids:
+                ways *= below.get(leaves[slot], 0)
+                if not ways:
+                    break
+            if ways:
+                found[root] = found.get(root, 0) + ways
         return found
 
     return sum(counts(0).values())
@@ -961,7 +917,7 @@ def _first_repeat(columns, radices):
     return int(np.flatnonzero(repeated)[0])
 
 
-def _segal_failure(t: Tree, columns, boundary, memo):
+def _segal_failure(t: Tree, columns, boundary):
     """The failure record at `t`, or None.  Reports the first value, in value
     order, whose family repeats an earlier one or leaves the core; with
     neither, the map is injective into the core and is onto exactly when
@@ -993,7 +949,7 @@ def _segal_failure(t: Tree, columns, boundary, memo):
             boundary[k].values[column[first]] for k, column in zip(arities, columns)
         )
         return {"tree": t.term, "reason": reason, "family": str(family)}
-    core_count = _core_count(shape, boundary, memo)
+    core_count = _core_count(shape, boundary)
     if n != core_count:
         return {
             "tree": t.term,
@@ -1016,7 +972,7 @@ def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
     if trees is None:
         raise DomainError("no carrier given for the Segal check")
     report = SegalReport(getattr(X, "name", "dendroidal set"))
-    boundary, strays, memo = {}, {}, {}
+    boundary, strays = {}, {}
     for t in trees:
         try:
             report.checked.append(t.term)
@@ -1028,7 +984,7 @@ def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
                 if k not in boundary:
                     boundary[k] = _corolla_boundary(X, k, strays)
             columns = _value_columns(X, t, budget)
-            failure = _segal_failure(t, columns, boundary, memo)
+            failure = _segal_failure(t, columns, boundary)
             if failure is not None:
                 report.failures.append(failure)
         except DomainError as err:
@@ -1041,14 +997,15 @@ def is_strict_segal(X, trees=None, budget=None) -> SegalReport:
 # -- operad reconstruction ----------------------------------------------------------
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _grafting(arities):
     """The tree grafting a corolla of each arity in `arities` onto the
     inputs of a root corolla; the maps of the root corolla and of each slot
     corolla into it, in that order; and the map of the corolla on all its
-    leaves, slot by slot.  Built once per arity tuple, so that every
-    reconstruction shares it."""
-    tree, cmap = grafted_two_level_tree(arities)
+    leaves, slot by slot."""
+    # cmap sends the raw address (j,) of slot j and (j, i) of its i-th leaf
+    # to their canonical addresses in the tree
+    canon, cmap = canonicalize_node((tuple((((None, None),) * k, None) for k in arities), None))
+    tree = Tree(canon, _canonical=True)
     maps = [{(): ()} | {(j,): cmap[(j,)] for j in range(len(arities))}]
     for j, k in enumerate(arities):
         maps.append({(): cmap[(j,)]} | {(i,): cmap[(j, i)] for i in range(k)})
@@ -1076,9 +1033,7 @@ class ReconstructedOperad(FiniteOperad):
         self.arity_bound = arity_bound
         self.budget = budget
         self.colors = tuple(X.values(ETA))
-        self._color_ids = {}
-        for p, c in enumerate(self.colors):
-            self._color_ids.setdefault(c, p)
+        self._color_ids = first_positions(self.colors)
         self._boundary, self._strays = {}, {}
         self._homs = {}
         self._graft_plans = {}

@@ -34,6 +34,7 @@ from .operads import (
     block_permutation,
     composition_instances,
     direct_sum_permutation,
+    first_positions,
     perm_compose,
     perm_inverse,
 )
@@ -103,10 +104,7 @@ class _Tables:
         els = self.elements.get(sig)
         if els is None:
             els = list(self.P.hom(sig.inputs, sig.output)) if sig in self._known else []
-            ids = {}
-            for i, e in enumerate(els):
-                ids.setdefault(e, i)
-            self.elements[sig], self._ids[sig] = els, ids
+            self.elements[sig], self._ids[sig] = els, first_positions(els)
         return els
 
     def size(self, sig):

@@ -37,6 +37,14 @@ from .morphisms import _input_sets
 from .trees import Tree
 
 
+def first_positions(items):
+    """Each distinct item's first position in `items`, in order of first occurrence."""
+    first = {}
+    for i, item in enumerate(items):
+        first.setdefault(item, i)
+    return first
+
+
 def perm_compose(p, q):
     """Acting by p then by q; identity is tuple(range(n))."""
     return tuple(p[q[i]] for i in range(len(q)))

@@ -1600,9 +1600,9 @@ def tuple_nerve_values(X, t):
     order, its edge colors with every decoration in the product of its
     pools."""
     out = []
-    for coloring, pools, _size in X.value_blocks(t):
-        colors = tuple(coloring[e] for e in t.edges)
-        for decs in itertools.product(*pools):
+    for block in X.value_blocks(t).values():
+        colors = tuple(block.coloring[e] for e in t.edges)
+        for decs in itertools.product(*block.pools):
             out.append((colors, decs))
     return tuple(out)
 

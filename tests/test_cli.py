@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,54 @@ def test_nerve_counts():
     )
     assert payload["values"]["(**)"] == 2
     assert payload["values"]["(***)"] == 6
+
+
+def test_segal_check_counts_a_repeated_tree_once():
+    # both terms name the canonical tree ((**)*)
+    proc = run("segal-check", "--operad", "com", "--tree", "((**)*)", "--tree", "(*(**))")
+    assert json.loads(proc.stdout)["trees_checked"] == 1
+    table = run("segal-check", "--dendroidal", "corrupted.dendroidal.json",
+                "--tree", "(**)", "--tree", "(**)", "--tree", "*")
+    assert json.loads(table.stdout)["trees_checked"] == 2
+
+
+def test_nerve_lists_a_repeated_tree_once():
+    payload = json.loads(run("nerve", "com", "--tree", "(**)", "--tree", "*", "--tree", "(**)").stdout)
+    assert payload["trees"] == ["*", "(**)"]
+    assert sorted(payload["values"]) == ["(**)", "*"]
+
+
+# sha256 of stdout, NUL, stderr, NUL and the exit code of each dendroidal
+# command under PYTHONHASHSEED=0: a changed digest is a changed output, so a
+# change to how nerves are stored or restricted must leave these as they are
+PINNED_DENDROIDAL_OUTPUT = {
+    ("nerve", "ass"):
+        "97163fca8c212c74c894c670e2f598bb367949cd1633f52534e7fa0d2075e89d",
+    ("nerve", "end01", "--max-vertices", "3", "--max-inputs", "2"):
+        "544c99baea1690a4d466d3a10c855d62617f7c85779ad99fdf9bdc37e7a82220",
+    ("nerve", "free-binary", "--max-vertices", "2"):
+        "1700455ab0c75ac8dd2bd5774390ed1c40fc1ef9ff52f55fb0596cecccf5293b",
+    ("nerve", "ass", "--max-vertices", "4", "--max-inputs", "4", "--counts"):
+        "9eac2614eae96606fbd19e7cc20ccade73ae975d9babd670f97dd4fd4080629c",
+    ("segal-check", "--dendroidal", "corrupted.dendroidal.json"):
+        "a24f1bb9cd92d2fe097fc7a5cda77a3cd2c0c528ef71d8bc50bfbd8a6a3f3412",
+    ("segal-check", "--operad", "end01", "--max-vertices", "3", "--max-inputs", "2"):
+        "daa43f9e0c551ec5ff60ea886a5dce5f15e98a63c4e0bafb6bf78a1af68d1937",
+    ("reconstruct", "--operad", "ass", "--arity-bound", "3", "--round-trip"):
+        "77401d3f6c2662bb1a9ba96a2d19c41f3b54579f3f55bbf2cc1a6e38134879e7",
+    ("reconstruct", "--operad", "end01", "--arity-bound", "2"):
+        "490e0d7befabfb3f8d1e72e11bf4cef8c1907dd4d88aecea82b8cc823f066ef9",
+}
+
+
+def test_dendroidal_output_bytes_are_pinned():
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    digests = {}
+    for args in PINNED_DENDROIDAL_OUTPUT:
+        proc = subprocess.run(CLI + list(args), capture_output=True, env=env, timeout=300)
+        out = proc.stdout + b"\0" + proc.stderr + b"\0" + b"%d" % proc.returncode
+        digests[args] = hashlib.sha256(out).hexdigest()
+    assert digests == PINNED_DENDROIDAL_OUTPUT
 
 
 def test_segal_check_pass_and_fail():

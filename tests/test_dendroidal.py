@@ -9,6 +9,7 @@ import oracles
 import pytest
 
 from dendrokit.dendroidal import (
+    _BLOCKS_KEPT,
     TableDendroidalSet,
     _core_count,
     _corolla_boundary,
@@ -30,7 +31,7 @@ from dendrokit.dendroidal import (
 )
 from dendrokit.errors import BudgetExceeded, DendroError, DomainError
 from dendrokit.fixtures import load_dendroidal, load_operad
-from dendrokit.morphisms import OmegaMorphism, hom_set
+from dendrokit.morphisms import OmegaMorphism, elementary_faces, hom_set
 from dendrokit.operads import (
     Signature,
     ass_operad,
@@ -42,6 +43,7 @@ from dendrokit.operads import (
     one_binary_generator,
 )
 from dendrokit.trees import (
+    Tree,
     corolla,
     enumerate_trees_by_vertices,
     leaf_tree,
@@ -143,6 +145,20 @@ class TestNerveValueView:
             tracemalloc.stop()
         assert n == 331_776
         assert peak < 2**20
+
+
+def test_per_tree_state_stays_bounded():
+    # restricting along every elementary face of the (4, 4) trees meets
+    # 439 trees; no dict of the nerve keyed by tree may hold them all
+    X = nerve(com_operad())
+    for t in enumerate_trees_by_vertices(4, 4):
+        for face in elementary_faces(t):
+            X.restrict_index(face.morphism)
+    per_tree = [
+        d for d in vars(X).values() if isinstance(d, dict) and d and all(isinstance(k, Tree) for k in d)
+    ]
+    assert per_tree
+    assert [len(d) for d in per_tree if len(d) > _BLOCKS_KEPT] == []
 
 
 def restriction_of(X, m):
@@ -424,7 +440,7 @@ INDEX_ORACLE_CASES = {
 
 
 class TestSegalMatchesIndexOracle:
-    """The check's core counts (memoized per branch) and failure records
+    """The check's core counts (one dynamic program per tree) and failure records
     (scattered keys, values searched only up to the first leaving the core)
     agree tree by tree with the oracle's, which recount and sort whole."""
 
@@ -432,18 +448,18 @@ class TestSegalMatchesIndexOracle:
     def test_core_counts_and_reports(self, case):
         X, carrier = INDEX_ORACLE_CASES[case]()
         carrier = carrier or X.trees
-        boundary, strays, memo, failures = {}, {}, {}, []
+        boundary, strays, failures = {}, {}, []
         for t in carrier:
             if not t.vertices:
                 continue
             for k in set(len(t.children(v)) for v in t.vertices):
                 if k not in boundary:
                     boundary[k] = _corolla_boundary(X, k, strays)
-            counted = _core_count(_segal_shape(t), boundary, memo)
+            counted = _core_count(_segal_shape(t), boundary)
             assert counted == oracles.index_core_count(t, boundary)
             columns = _value_columns(X, t, None)
             expected = oracles.index_segal_failure(t, columns, boundary)
-            assert _segal_failure(t, columns, boundary, memo) == expected
+            assert _segal_failure(t, columns, boundary) == expected
             failures += [expected] if expected else []
         assert is_strict_segal(X, carrier).failures == failures
         assert bool(failures) == (case in EXPECTED_REASONS)
