@@ -93,10 +93,6 @@ def subcorolla_inclusion(t: Tree, vertex) -> OmegaMorphism:
     return OmegaMorphism(source, t, edge_map, _checked=True)
 
 
-def automorphism_of(t: Tree, addr_map) -> OmegaMorphism:
-    return OmegaMorphism(t, t, addr_map, _checked=True)
-
-
 def leaf_relabel_automorphism(n, perm) -> OmegaMorphism:
     """The corolla automorphism sending leaf i to leaf perm[i]."""
     t = corolla(n)
@@ -590,11 +586,8 @@ def nerve(operad: FiniteOperad, trees=None, budget=None) -> NerveDendroidalSet:
 
 
 def morphism_key(m: OmegaMorphism):
-    return (
-        m.source.key,
-        m.target.key,
-        tuple(sorted((s, t) for s, t in m.map.items())),
-    )
+    # the source edges are sorted, so these are the edge map's pairs in order
+    return (m.source.key, m.target.key, tuple(zip(m.source.edges, m._items)))
 
 
 class TableDendroidalSet:
@@ -762,7 +755,7 @@ def materialize(X: NerveDendroidalSet, trees, name=None):
                 store(sigma)
         for alpha in automorphisms(t):
             if any(alpha[e] != e for e in t.edges):
-                store(automorphism_of(t, alpha))
+                store(OmegaMorphism(t, t, alpha, _checked=True))
     return TableDendroidalSet(trees, values, actions, name=name or X.name)
 
 

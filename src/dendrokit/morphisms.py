@@ -17,12 +17,14 @@ reduced trees, reduced and extended corollas).
 
 Elementary faces are constructed, not searched for: one inner face per
 inner-edge contraction, one outer face per removable top vertex, and one
-per root input whose siblings are all leaves.  Faces are deduplicated and
-ordered by a canonical orbit key under source automorphisms, computed by
-sorting isomorphic sibling blocks rather than enumerating the group.
-Subtree inclusions are built valid as well: an edge subset only ever leaves
-out closed branches, so no candidate is validated and dropped.  Extended
-corollas are read off the degeneracy chain of `shorten`.
+per root input whose siblings are all leaves.  One walker builds the
+source of every face and subtree inclusion, keeping the target's child
+order, so each face is built as the least map in its orbit under source
+automorphisms and faces are ordered by (source key, images) with nothing
+normalized or deduplicated.  Subtree inclusions are built valid as well:
+an edge subset only ever leaves out closed branches, so no candidate is
+validated and dropped.  Extended corollas are read off the degeneracy
+chain of `shorten`.
 
 Three memos share one bound, ``_CACHE_SIZE`` entries each, and nothing
 per tree is rebuilt per call:
@@ -380,30 +382,46 @@ def _finish(raw_node, raw_map):
     return tree, {own[cmap[raw]]: payload for raw, payload in raw_map.items()}
 
 
+def _induced(t: Tree, kept, base=(), leaf=None) -> OmegaMorphism:
+    """The inclusion into `t` of the tree on the edges `kept` above `base`.
+
+    A kept edge's inputs are its kept children.  A dropped child with a
+    vertex is replaced by its own kept children, one level deep: the only
+    dropped edge with kept children is a contracted inner edge.  The edge
+    `leaf` loses its vertex and becomes a leaf, which the edge set alone
+    cannot say, since removing a stump keeps every edge.  Raw children keep
+    `t`'s order, so for an unlabelled `t` every run of isomorphic siblings
+    has increasing images after canonicalization: the map is the least of
+    its orbit under the source's automorphisms.
+    """
+    raw_map = {}  # raw address -> address in t, each built once from its parent's
+
+    def rec(e, raw_addr):
+        raw_map[raw_addr] = e
+        children, label = t.node_at(e)
+        if children is LEAF or e == leaf:
+            return (LEAF, label)
+        raw_children = []
+        for c in t.children(e):
+            if c in kept:
+                spliced = (c,)
+            elif t.is_leaf(c):
+                continue
+            else:
+                spliced = [g for g in t.children(c) if g in kept]
+            for g in spliced:
+                raw_children.append(rec(g, raw_addr + (len(raw_children),)))
+        return (tuple(raw_children), label)
+
+    tree, addr_map = _finish(rec(base, ()), raw_map)
+    return OmegaMorphism(tree, t, addr_map, _checked=True)
+
+
 def contract_inner_edge(t: Tree, edge) -> OmegaMorphism:
     """Contract the inner edge `edge`; returns the face (t/edge) -> t."""
     if edge not in t.inner_edges:
         raise DomainError("not an inner edge", {"address": format_address(edge)})
-    parent, j = edge[:-1], edge[-1]
-    raw_map = {}  # raw address -> address in t, each built once from its parent's
-
-    def rec(node, addr, raw_addr):
-        children, label = node
-        raw_map[raw_addr] = addr
-        if children is LEAF:
-            return node
-        raw_children = []
-        for i, kid in enumerate(children):
-            if addr == parent and i == j:
-                spliced = [(grandkid, addr + (i, g)) for g, grandkid in enumerate(kid[0])]
-            else:
-                spliced = [(kid, addr + (i,))]
-            for part, part_addr in spliced:
-                raw_children.append(rec(part, part_addr, raw_addr + (len(raw_children),)))
-        return (tuple(raw_children), label)
-
-    tree, addr_map = _finish(rec(t.node_at(()), (), ()), raw_map)
-    return OmegaMorphism(tree, t, addr_map, _checked=True)
+    return _induced(t, frozenset(t.edges) - {edge})
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -463,97 +481,46 @@ class Face:
         return data
 
 
-def _orbit_key(m: OmegaMorphism):
-    """Canonical representative of m under precomposition with Aut(source):
-    the lexicographically least ``tuple(m(alpha(e)) for e in source.edges)``
-    over all automorphisms alpha.
-
-    Edges are in preorder, so the tuple is the root's image followed by one
-    block per child branch.  Automorphisms permute isomorphic sibling
-    branches, which are contiguous in canonical order, and act on each
-    branch independently; the least tuple therefore takes each branch's
-    least block recursively and sorts the blocks within every run of
-    isomorphic siblings.
-    """
-    source = m.source
-
-    def rec(addr):
-        children, _ = source.node_at(addr)
-        if children is LEAF:
-            return "*", (m(addr),)
-        parts = [rec(addr + (i,)) for i in range(len(children))]
-        block = [m(addr)]
-        for _, run in itertools.groupby(parts, key=lambda part: part[0]):
-            for sub in sorted(sub for _, sub in run):
-                block.extend(sub)
-        return "(" + "".join(key for key, _ in parts) + ")", tuple(block)
-
-    return rec(())[1]
-
-
-def _replace_node(node, addr, new):
-    """`node` with the sub-node at relative address `addr` replaced."""
-    if not addr:
-        return new
-    children, label = node
-    i = addr[0]
-    return (children[:i] + (_replace_node(children[i], addr[1:], new),) + children[i + 1 :], label)
-
-
-def _face_candidates(t: Tree):
-    """(source, {source addr: target addr}, contracted edge or None) for each
-    elementary face of the unlabelled canonical tree `t`."""
-    for e in t.inner_edges:
-        c = contract_inner_edge(t, e)
-        yield c.source, c.map, e
-    root_node = t.node_at(())
-    for v in t.vertices:
-        # outer face at a top vertex: drop it, its edge becomes a leaf
-        kids = t.children(v)
-        if all(t.is_leaf(k) for k in kids):
-            raw = _replace_node(root_node, v, (LEAF, None))
-            source, addr_map = _finish(raw, {e: e for e in t.edges if e not in kids})
-            yield source, addr_map, None
-    if t.has_vertex(()):
-        # outer face at the root: keep one input's branch, the others being leaves
-        kids = t.children(())
-        for c in kids:
-            if all(t.is_leaf(k) for k in kids if k != c):
-                source = Tree(t.node_at(c), _canonical=True)
-                yield source, {e: c + e for e in source.edges}, None
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _faces(t: Tree):
     """The elementary faces of `t` in order, each with its image and its
     inverse edge map (target address -> source address)."""
     # the key is the canonical unlabelled term, so edge addresses carry over
     shape = parse_tree(t.key) if t.labels else t
-    found = {}
-    for source, addr_map, contracted in _face_candidates(shape):
-        m = OmegaMorphism(source, t, addr_map, _checked=True)
-        found.setdefault((source.key, _orbit_key(m)), (source, contracted))
+    edges = frozenset(shape.edges)
+    built = [(_induced(shape, edges - {e}), e) for e in shape.inner_edges]
+    for v in shape.vertices:
+        # outer face at a top vertex: drop it, its edge becomes a leaf
+        kids = shape.children(v)
+        if all(shape.is_leaf(k) for k in kids):
+            built.append((_induced(shape, edges.difference(kids), leaf=v), None))
+    if shape.has_vertex(()):
+        # outer face at the root: keep one input's branch, the others being leaves
+        kids = shape.children(())
+        for c in kids:
+            if all(shape.is_leaf(k) for k in kids if k != c):
+                built.append((_induced(shape, edges, base=c), None))
+    built.sort(key=lambda pair: (pair[0].source.key, pair[0]._items))
     faces = []
-    for okey in sorted(found):
-        source, contracted = found[okey]
-        images = okey[1]
-        rep = OmegaMorphism(source, t, dict(zip(source.edges, images)), _checked=True)
-        face = Face(rep, "outer" if contracted is None else "inner", contracted)
-        faces.append((face, frozenset(images), dict(zip(images, source.edges))))
+    for m, contracted in built:
+        if shape is not t:
+            m = OmegaMorphism._from_images(m.source, t, m._items)
+        face = Face(m, "outer" if contracted is None else "inner", contracted)
+        faces.append((face, frozenset(m._items), dict(zip(m._items, m.source.edges))))
     return tuple(faces)
 
 
 def elementary_faces(t: Tree):
     """All elementary faces of `t`, one per (source iso-class, image map up to
-    source automorphisms), sorted by (source key, orbit key) and classified.
+    source automorphisms), sorted by (source key, images) and classified.
 
     Each face is built directly (Moerdijk-Weiss): an inner face contracts an
     inner edge, which drops a closed branch when the edge ends in a stump;
     an outer face removes a top vertex, whose edge becomes a leaf, or the
     root vertex, keeping the branch at one root input when all the others
-    are leaves.  Sources are unlabelled and the representative of each face
-    is the lexicographically least map in its orbit.  Nothing is enumerated,
-    so nothing is charged.
+    are leaves.  Sources are unlabelled and each face is built as the
+    lexicographically least map in its orbit.  Nothing is enumerated, so
+    nothing is charged.
     """
     return [face for face, _, _ in _faces(t)]
 
@@ -629,22 +596,27 @@ def factorize(m: OmegaMorphism) -> Factorization:
 
 
 def _peel(g: OmegaMorphism):
-    if g.is_isomorphism():
-        return [], g
-    g_image = g.image()
-    for face, image, inverse in _faces(g.target):
-        if not g_image <= image:
-            continue
-        lift = OmegaMorphism._from_images(
-            g.source, face.morphism.source, tuple(map(inverse.__getitem__, g._items))
-        )
-        if not validate_morphism(lift.source, lift.target, lift._map):
-            continue
-        sub = _peel(lift)
-        if sub is not None:
-            chain, iso = sub
-            return chain + [face], iso
-    return None
+    """(faces in order of application, isomorphism) composing to the
+    injective map `g`, or None.  Each step takes the first face, in order,
+    whose image holds g's image and through which g lifts validly, and
+    goes on with the lift."""
+    chain = []
+    while not g.is_isomorphism():
+        g_image = g.image()
+        for face, image, inverse in _faces(g.target):
+            if not g_image <= image:
+                continue
+            lift = OmegaMorphism._from_images(
+                g.source, face.morphism.source, tuple(map(inverse.__getitem__, g._items))
+            )
+            if validate_morphism(lift.source, lift.target, lift._map):
+                break
+        else:
+            return None
+        chain.append(face)
+        g = lift
+    chain.reverse()
+    return chain, g
 
 
 # -- subtrees ----------------------------------------------------------------
@@ -676,33 +648,6 @@ class SubtreeInclusion:
         }
 
 
-def _induced_inclusion(t: Tree, subset):
-    """Inclusion morphism of the tree induced by a connected edge subset
-    that leaves out only closed branches, which makes it valid."""
-    base = min(subset, key=len)
-
-    def build(e):
-        children, label = t.node_at(e)
-        if children is LEAF:
-            return (LEAF, label), {(): e}
-        raw_children = []
-        out_map = {(): e}
-        pos = 0
-        for c in t.children(e):
-            if c not in subset:
-                continue
-            node, m = build(c)
-            raw_children.append(node)
-            for sub, orig in m.items():
-                out_map[(pos,) + sub] = orig
-            pos += 1
-        return (tuple(raw_children), label), out_map
-
-    raw, raw_map = build(base)
-    tree, addr_map = _finish(raw, raw_map)
-    return OmegaMorphism(tree, t, addr_map, _checked=True)
-
-
 def subtrees(t: Tree, budget=None):
     """All subtree inclusions of `t`, sorted by size then edge set.
 
@@ -725,7 +670,7 @@ def subtrees(t: Tree, budget=None):
     results = []
     for e in t.edges:
         for subset in rooted(e):
-            incl = _induced_inclusion(t, subset)
+            incl = _induced(t, subset, base=e)
             results.append(SubtreeInclusion(t, subset, incl.source, incl))
     results.sort(key=lambda s: (len(s.edge_subset), tuple(sorted(s.edge_subset))))
     return results

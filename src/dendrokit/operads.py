@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, DomainError, charge, resolve_budget
 from .morphisms import _input_sets
@@ -79,8 +80,10 @@ def direct_sum_permutation(perms):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
+    """An ordered signature (inputs; output); it equals and hashes like the
+    (inputs, output) pair that tables key by."""
+
     inputs: tuple
     output: object
 
@@ -603,12 +606,7 @@ class TableOperad(FiniteOperad):
         if not child_sigs:
             # the empty multicomposition of a nullary operation is itself
             return parent
-        key = (
-            parent,
-            (parent_sig.inputs, parent_sig.output),
-            tuple(children),
-            tuple((s.inputs, s.output) for s in child_sigs),
-        )
+        key = (parent, parent_sig, tuple(children), tuple(child_sigs))
         try:
             return self._comp[key]
         except KeyError:
@@ -618,7 +616,7 @@ class TableOperad(FiniteOperad):
             )
 
     def sigma(self, element, sig, perm):
-        key = (element, (sig.inputs, sig.output), tuple(perm))
+        key = (element, sig, tuple(perm))
         try:
             return self._sym[key]
         except KeyError:

@@ -8,6 +8,9 @@ check hashes the family of restricted value tuples of every value at a tree;
 the library's check, which works on index arrays, is compared against it.
 The reference elementary faces come from a search over every injective map
 out of every tree with one vertex fewer; the library builds them directly.
+The reference orbit key is the least image tuple over the whole
+automorphism group of the source, enumerated as arrays of edge positions;
+the library builds each face as that least map.
 The reference operad-axiom check recomputes every composite inside its
 innermost loop; the library's checker tabulates each composite and permuted
 element once and compares whole instance grids as index arrays.  End
@@ -60,7 +63,7 @@ representative and its serialization together, bottom-up, and keeps both.
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -109,7 +112,6 @@ from dendrokit.trees import (
     _node_key,
     _node_term,
     _size_multisets,
-    automorphisms,
     canonicalize_node,
     corolla,
     enumerate_trees_by_vertices,
@@ -613,11 +615,45 @@ class ClosurePoset:
 # -- elementary faces by search ---------------------------------------------------
 
 
+def _product_rows(a, b):
+    """Every row of `a` followed by every row of `b`."""
+    return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
+
+
+@lru_cache(maxsize=64)
+def automorphism_rows(t: Tree):
+    """Every automorphism of the unlabelled canonical tree `t` as one row of
+    an int array: entry i is the position in ``t.edges`` of the image of
+    ``t.edges[i]``.  Identical sibling branches are adjacent in canonical
+    order; every run of k of them contributes each permutation of the k
+    slots combined with every choice of automorphism of each branch."""
+
+    def rows(node):
+        children, _ = node
+        out = np.zeros((1, 1), dtype=np.int32)  # the edge itself stays put
+        if children is LEAF:
+            return out
+        for _, run in itertools.groupby(children, key=_node_key):
+            run = list(run)
+            k, sub = len(run), rows(run[0])
+            n = sub.shape[1]
+            choices = reduce(_product_rows, [sub] * k)
+            shifts = np.array([np.repeat(perm, n) * n for perm in itertools.permutations(range(k))])
+            moved = (choices[None, :, :] + shifts[:, None, :]).reshape(-1, k * n)
+            out = _product_rows(out, moved + out.shape[1])
+        return out
+
+    return rows(t.node_at(()))
+
+
 def automorphism_orbit_key(m):
     """Least edge-image tuple of m precomposed with each automorphism of its
     source, found by enumerating the whole automorphism group."""
-    edges = m.source.edges
-    return min(tuple(m(alpha[e]) for e in edges) for alpha in automorphisms(m.source))
+    group = automorphism_rows(m.source)
+    rank = {x: i for i, x in enumerate(sorted(set(m._items)))}
+    images = np.array([rank[x] for x in m._items])[group]
+    least = group[np.lexsort(images.T[::-1])[0]]
+    return tuple(m._items[i] for i in least)
 
 
 def search_elementary_faces(t, budget=None):

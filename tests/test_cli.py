@@ -160,6 +160,64 @@ def test_dendroidal_output_bytes_are_pinned():
     assert digests == PINNED_DENDROIDAL_OUTPUT
 
 
+# the same digests for the tree layer: faces, subtree inclusions and the
+# classification of trees with stumps, labels and isomorphic branches, a hom
+# set and the criterion-12 factorization, as they stood before the faces and
+# subtree inclusions were built by one walker
+PINNED_TREE_OUTPUT = {
+    ("faces", "((**)*)", "--json"):
+        "1e671f082dc8ef3bf3b169af67117beec4222c6ba7c07eb1fb71e34be1362484",
+    ("subtrees", "((**)*)", "--json"):
+        "42056f4afd1297b56cc2e22ecc394ed5c0d41905cd3f1c80b1700262449fed86",
+    ("classify", "((**)*)", "--json"):
+        "8614c9f9d22cbde740d0fddea1402e11ba0204555046ecf8777a7a267214acc9",
+    ("faces", "((()))", "--json"):
+        "bb59a3882f50c0051daf2ab4f0441eae14f9841d7f52ec1481b25b6ed7c21cff",
+    ("subtrees", "((()))", "--json"):
+        "94130ddbb6556ad81aabf480a6f6b4eed5c934980fde91f8561fd10aae67eec6",
+    ("classify", "((()))", "--json"):
+        "fab769bcc2c4d45722b3826df2090a83fbb148179812e4e5cb7976405c3d2819",
+    ("faces", "(()(()))", "--json"):
+        "be4e9b3d12cef83ee2a7427dd2069d36cd9b0b40e9af0ae2482f54f8fadf080b",
+    ("subtrees", "(()(()))", "--json"):
+        "444e5f6e65d21e27bc6332d09726742b789614786fa7206e09051bf7ff3939b7",
+    ("classify", "(()(()))", "--json"):
+        "9777f9857fd0cba745e8d1f33558bf96b616a36224404e4f31e954ea27846235",
+    ("faces", "((***)(***)(***))", "--json"):
+        "76a57f0103e9c11d1f9a8fe958da8cbca0a3877ecabf7eab346852743257203a",
+    ("subtrees", "((***)(***)(***))", "--json"):
+        "fdfabbfed11313dac2fd920c514734422b61974fb5f1715a711e33aa1ef08281",
+    ("classify", "((***)(***)(***))", "--json"):
+        "5aecb6cbbc32d59b528ed3c11299eddc21857ea3e0272368a53a2acb70bfe6ef",
+    ("faces", "((*@a*@b)(*@c()))", "--json"):
+        "83bd85fa9266e4423ea797481ebce7006d074e6a5623e9d3a220599518662ad5",
+    ("subtrees", "((*@a*@b)(*@c()))", "--json"):
+        "eaaa617a6d0110fad86e3fe5dbdeba10e3389eb748da720e78588c3487535215",
+    ("classify", "((*@a*@b)(*@c()))", "--json"):
+        "7984d2f1ec38b9c643a0a56fbb5997c033c0d99be1391108af24e0f4e42e552b",
+    ("faces", "((()*)(**)())", "--json"):
+        "7383c8f628c39a36afff004c32298954bca081107c2cf9a09c7d99ce285b4290",
+    ("subtrees", "((()*)(**)())", "--json"):
+        "ee8259089e2e4efc8ab2312a05587da9c8b87c56ff836beb21ac20ef19bd61ee",
+    ("classify", "((()*)(**)())", "--json"):
+        "f2bf4e984d24b6a6d25497d3a8ad8eb8cb743630fc38d14c0cc4afbace269191",
+    ("hom", "(**)", "(*(**))", "--json"):
+        "7cea8464f73a18e54482da46bd16ba334c29b5596b7fe6530c836e123cf38ee7",
+    ("factorize", '{"source_key": "*", "target_key": "(**)", "edge_map": {"": "0"}}'):
+        "42743cf81bbef767213cc9248d704a8ab6c9b63a2763a75351f6d36e1a760a50",
+}
+
+
+def test_tree_output_bytes_are_pinned():
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    digests = {}
+    for args in PINNED_TREE_OUTPUT:
+        proc = subprocess.run(CLI + list(args), capture_output=True, env=env, timeout=300)
+        out = proc.stdout + b"\0" + proc.stderr + b"\0" + b"%d" % proc.returncode
+        digests[args] = hashlib.sha256(out).hexdigest()
+    assert digests == PINNED_TREE_OUTPUT
+
+
 def test_segal_check_pass_and_fail():
     ok = run(
         "segal-check", "--operad", "ass.operad.json", "--max-vertices", "3",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import subprocess
@@ -11,7 +12,6 @@ from dendrokit.errors import BudgetExceeded, DomainError
 from dendrokit.morphisms import (
     Factorization,
     OmegaMorphism,
-    _orbit_key,
     classify,
     contract_inner_edge,
     degeneracies,
@@ -29,6 +29,7 @@ from dendrokit.morphisms import (
 )
 from dendrokit.trees import (
     MAX_TREE_DEPTH,
+    automorphisms,
     corolla,
     enumerate_trees,
     enumerate_trees_by_vertices,
@@ -251,11 +252,22 @@ class TestFacesAndDegeneracies:
         payload = json.loads(proc.stdout)
         assert payload["count"] == len(payload["faces"]) == 6
 
-    def test_orbit_key_matches_automorphism_enumeration(self):
-        trees = enumerate_trees_by_vertices(2, 3)
-        for s, t in itertools.product(trees, repeat=2):
-            for m in hom_set(s, t):
-                assert _orbit_key(m) == oracles.automorphism_orbit_key(m)
+    def test_built_face_is_least_in_its_orbit(self):
+        trees = enumerate_trees_by_vertices(4, 4) + [parse_tree(SIX_EDGE_EXAMPLE)]
+        for t in trees:
+            faces = elementary_faces(t)
+            for face in faces:
+                m = face.morphism
+                assert m._items == oracles.automorphism_orbit_key(m), (t.term, m)
+            keys = {(f.morphism.source.key, f.morphism._items) for f in faces}
+            assert len(keys) == len(faces), t.term
+
+    def test_orbit_oracle_enumerates_every_automorphism(self):
+        for t in enumerate_trees(7, 4):
+            rows = oracles.automorphism_rows(t)
+            position = {e: i for i, e in enumerate(t.edges)}
+            want = {tuple(position[alpha[e]] for e in t.edges) for alpha in automorphisms(t)}
+            assert {tuple(row) for row in rows.tolist()} == want and len(rows) == len(want), t.term
 
     def test_inner_faces_match_contractions(self):
         for term in ["(*(**))", "((()))", "(()(()))"]:
@@ -293,6 +305,21 @@ class TestFactorize:
             for m in hom_set(s, t):
                 fact = factorize(m)
                 assert fact.composite() == m
+
+
+def test_tree_layer_digest_is_pinned():
+    """Every factorization among the trees of (3, 3), then the faces and
+    subtree inclusions of the trees of (4, 4) and of seven edges and three
+    inputs, serialized in order: a changed digest is a changed output."""
+    digest = hashlib.sha256()
+    c33 = enumerate_trees_by_vertices(3, 3)
+    for s, t in itertools.product(c33, repeat=2):
+        for m in hom_set(s, t):
+            digest.update(json.dumps(factorize(m).to_json(), sort_keys=True).encode())
+    for t in enumerate_trees_by_vertices(4, 4) + enumerate_trees(7, 3):
+        digest.update(json.dumps([f.to_json() for f in elementary_faces(t)], sort_keys=True).encode())
+        digest.update(json.dumps([s.to_json() for s in subtrees(t)], sort_keys=True).encode())
+    assert digest.hexdigest() == "55ed4161fcf903b09b0b050f54d8b5d871599d4eb7d46c04ed298eff0a6854b2"
 
 
 class TestTablePathsMatchOracles:
