@@ -9,10 +9,12 @@ value's restriction at ``m.source``; ``size(t)`` counts the values at ``t``.
 - :class:`NerveDendroidalSet` is the nerve of a finite operad: a value is a
   color per edge and an operation per vertex, laid out in blocks, one per
   edge coloring, each the product of its vertices' hom-sets and described
-  by one record (:class:`_Block`).  A restriction
-  runs a plan compiled once per map (`_restriction_plan`, shared by the
-  nerves of all operads) on whole blocks of the target: one step per source
-  vertex, compiled from the operation witness it lands on.  A pick, a
+  by one record (:class:`_Block`) whose colors follow the edge ids
+  (`Tree.index`).  A restriction runs a plan compiled once per map
+  (`_restriction_plan`, keyed by the map's tuple of image ids and shared
+  by the nerves of all operads) on whole blocks of the target: one step per
+  source vertex, compiled from the operation witness it lands on and naming
+  target edges by id, so that a block's colors are read by position.  A pick, a
   target vertex with its inputs in order, is one gather of that vertex's
   digit column; an identity is a constant; a composition or permutation
   makes one operad call per distinct row of its operands.  ``values(t)`` is
@@ -62,9 +64,9 @@ from .morphisms import (
 )
 from .operads import FiniteOperad, Signature, first_positions
 from .trees import (
+    LEAF,
     Tree,
     automorphisms,
-    canonicalize_node,
     corolla,
     leaf_tree,
     parse_address,
@@ -85,12 +87,14 @@ def edge_inclusion(t: Tree, edge) -> OmegaMorphism:
 def subcorolla_inclusion(t: Tree, vertex) -> OmegaMorphism:
     """The corolla around `vertex` included into `t`: root to the vertex's
     output edge, leaf i to its i-th input edge."""
-    kids = t.children(vertex)
-    source = corolla(len(kids))
-    edge_map = {(): vertex}
-    for i, c in enumerate(kids):
-        edge_map[(i,)] = c
-    return OmegaMorphism(source, t, edge_map, _checked=True)
+    t.children(vertex)  # a leaf or an unknown edge carries no vertex
+    return _subcorolla(t, t.index.ids[vertex])
+
+
+def _subcorolla(t: Tree, v):
+    """`subcorolla_inclusion` at the vertex of the edge with id `v`."""
+    kids = t.index.kids[v]
+    return OmegaMorphism._from_ids(corolla(len(kids)), t, (v, *kids))
 
 
 def leaf_relabel_automorphism(n, perm) -> OmegaMorphism:
@@ -192,13 +196,12 @@ class _Hom(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """One edge coloring's block of the values at a tree: the coloring, its
-    colors in edge order, and per vertex its hom pool, its :class:`_Hom` and
+    """One edge coloring's block of the values at a tree: its colors in edge
+    order, so by edge id, and per vertex its hom pool, its :class:`_Hom` and
     its stride, the distance between values differing only there; then the
     block's first position and its value count.  The block's values are the
     product of the pools, the last vertex varying fastest."""
 
-    coloring: dict
     colors: tuple
     pools: list
     homs: list
@@ -275,37 +278,43 @@ _PICK, _IDENTITY, _COMPOSE = range(3)
 def _compile(w, target, vertex_index):
     """One step of a restriction plan, from the witness `w` at `target`.
     Steps name a target vertex by its position and its output and input
-    edges: (_PICK, vertex, output, inputs) when `w` is the vertex with its
-    inputs in order, whose operation is the vertex's decoration;
-    (_IDENTITY, edge); or (_COMPOSE, vertex, output, inputs, child steps,
-    permutation or None when the inputs stay in order)."""
+    edges by their ids: (_PICK, vertex, output, inputs) when `w` is the
+    vertex with its inputs in order, whose operation is the vertex's
+    decoration; (_IDENTITY, edge); or (_COMPOSE, vertex, output, inputs,
+    child steps, permutation or None when the inputs stay in order)."""
+    index = target.index
+    out = index.ids[w.output]
     if w.is_identity:
-        return (_IDENTITY, w.output)
-    vertex = vertex_index[w.output]
+        return (_IDENTITY, out)
+    vertex = vertex_index[out]
     in_order = w.perm == tuple(range(len(w.perm)))
-    kids = target.children(w.output)
+    kids = index.kids[out]
     if in_order and all(c.is_identity for c in w.children):
-        return (_PICK, vertex, w.output, kids)
+        return (_PICK, vertex, out, kids)
     children = tuple(_compile(c, target, vertex_index) for c in w.children)
-    return (_COMPOSE, vertex, w.output, kids, children, None if in_order else w.perm)
+    return (_COMPOSE, vertex, out, kids, children, None if in_order else w.perm)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _restriction_plan(source: Tree, target: Tree, images):
-    """The steps restricting along the map sending ``source.edges[i]`` to
-    ``images[i]``: one per source vertex, compiled from the witness of the
-    operation it lands on; a vertex landing on a target vertex with its
-    inputs in order is a pick without a witness search.  A plan depends on
-    the map alone, so the nerves of all operads share it."""
-    image = dict(zip(source.edges, images))
-    vertex_index = {v: i for i, v in enumerate(target.vertices)}
+def _restriction_plan(source: Tree, target: Tree, ids):
+    """The steps restricting along the map sending source edge id i to
+    target edge id ``ids[i]``: one per source vertex, compiled from the
+    witness of the operation it lands on; a vertex landing on a target
+    vertex with its inputs in order is a pick without a witness search.  A
+    plan depends on the map alone, so the nerves of all operads share it."""
+    index = target.index
+    vertex_index = {index.ids[v]: i for i, v in enumerate(target.vertices)}
     steps = []
-    for v in source.vertices:
-        out, inputs = image[v], tuple(image[c] for c in source.children(v))
-        if out in vertex_index and inputs == target.children(out):
+    for v, inputs in enumerate(source.index.kids):
+        if inputs is None:
+            continue
+        out, inputs = ids[v], tuple(map(ids.__getitem__, inputs))
+        if inputs == index.kids[out]:
             steps.append((_PICK, vertex_index[out], out, inputs))
         else:
-            steps.append(_compile(operation_exists(target, out, inputs), target, vertex_index))
+            edges = target.edges
+            witness = operation_exists(target, edges[out], tuple(map(edges.__getitem__, inputs)))
+            steps.append(_compile(witness, target, vertex_index))
     return tuple(steps)
 
 
@@ -365,16 +374,17 @@ class NerveDendroidalSet:
                     {"tree": t.term, "bound": P.arity_bound},
                 )
         blocks, offset = _Blocks(), 0
-        for coloring in self._colorings(t):
-            sigs = [(tuple(coloring[c] for c in t.children(v)), coloring[v]) for v in t.vertices]
+        kids = t.index.kids
+        verts = [v for v, inputs in enumerate(kids) if inputs is not None]
+        for colors in self._colorings(t):
+            sigs = [(tuple(colors[c] for c in kids[v]), colors[v]) for v in verts]
             homs = [self._hom(*sig) for sig in sigs]
             pools = [h.pool for h in homs]
             strides, size = [], 1
             for pool in reversed(pools):
                 strides.insert(0, size)
                 size *= len(pool)
-            colors = tuple(coloring.values())  # a coloring is built in edge order
-            blocks[colors] = _Block(coloring, colors, pools, homs, strides, offset, size)
+            blocks[colors] = _Block(colors, pools, homs, strides, offset, size)
             offset += size
             charge("nerve values", offset, self.budget)
         blocks.size = offset
@@ -385,29 +395,23 @@ class NerveDendroidalSet:
 
     def _colorings(self, t: Tree):
         """The colorings of `t` with a nonempty hom at every vertex, each a
-        dict built in edge order."""
+        tuple of colors by edge id.  Colors are assigned in id order, and a
+        vertex is checked once its last edge is colored: a stump's own edge,
+        or the last input of any other."""
         P = self.operad
         if len(P.colors) == 1:
-            return [{e: P.colors[0] for e in t.edges}]
-        # assign colors edge by edge, pruning on fully colored vertices
-        colorings = [{}]
-        for e in t.edges:
+            return [(P.colors[0],) * len(t.edges)]
+        kids, parent = t.index.kids, t.index.parent
+        colorings = [()]
+        for e in range(len(kids)):
+            closing = [e] if kids[e] == () else []
+            if parent[e] >= 0 and kids[parent[e]][-1] == e:
+                closing.append(parent[e])
             new = []
             for partial in colorings:
                 for c in P.colors:
-                    cand = dict(partial)
-                    cand[e] = c
-                    ok = True
-                    nearby = [] if t.is_leaf(e) else [e]
-                    if e:
-                        nearby.append(e[:-1])
-                    for v in nearby:
-                        kids = t.children(v)
-                        if all(k in cand for k in kids) and v in cand:
-                            if not P.hom(tuple(cand[k] for k in kids), cand[v]):
-                                ok = False
-                                break
-                    if ok:
+                    cand = partial + (c,)
+                    if all(P.hom(tuple(cand[k] for k in kids[v]), cand[v]) for v in closing):
                         new.append(cand)
             colorings = new
             charge("nerve colorings", len(colorings), self.budget)
@@ -422,7 +426,7 @@ class NerveDendroidalSet:
         source, so it is placed by one gather; a result no source block
         holds, such as a composite outside its hom-set, is an outside value.
         A source beyond the arity bound has no values."""
-        steps = _restriction_plan(m.source, m.target, m._items)
+        steps = _restriction_plan(m.source, m.target, m._ids)
         try:
             source = self.value_blocks(m.source)
         except DomainError:
@@ -435,7 +439,7 @@ class NerveDendroidalSet:
                 continue
             known = len(errors)
             decorations, failed = _run_block(self.operad, steps, block, errors)
-            source_colors = tuple(map(block.coloring.__getitem__, m._items))
+            source_colors = tuple(map(block.colors.__getitem__, m._ids))
             # a decoration or coloring the source does not hold adds `size`
             at = source.get(source_colors)
             unheld = at is None or len(errors) > known
@@ -514,7 +518,7 @@ def _run_block(P, steps, block, errors):
     gives a digit column again.  Returns one column per step and each
     value's error id (0 for none; None while no call has failed).
     """
-    coloring, n, failed = block.coloring, block.size, None
+    colors, n, failed = block.colors, block.size, None
 
     def call(fn, operands):
         nonlocal failed
@@ -548,13 +552,13 @@ def _run_block(P, steps, block, errors):
 
     def signature(step):
         _, _, out, kids = step[:4]
-        return Signature(tuple(coloring[c] for c in kids), coloring[out])
+        return Signature(tuple(colors[c] for c in kids), colors[out])
 
     def evaluate(step):
         # the column of the operation of `step`, and its signature
         kind = step[0]
         if kind == _IDENTITY:
-            out = coloring[step[1]]
+            out = colors[step[1]]
             return call(lambda: P.identity(out), []), Signature((out,), out)
         decoration = _digit(block, step[1])
         if kind == _PICK:
@@ -831,15 +835,16 @@ class _SegalShape(NamedTuple):
 def _segal_shape(t: Tree) -> _SegalShape:
     """What the Segal check reads of `t`, built once per tree so that the
     checks of several dendroidal sets over one carrier share it."""
-    verts = t.vertices
+    kids = t.index.kids
+    verts = [v for v, inputs in enumerate(kids) if inputs is not None]
     position = {v: i for i, v in enumerate(verts)}
     links = tuple(
-        tuple((slot, position[c]) for slot, c in enumerate(t.children(v)) if c in position)
+        tuple((slot, position[c]) for slot, c in enumerate(kids[v]) if c in position)
         for v in verts
     )
     return _SegalShape(
-        tuple(len(t.children(v)) for v in verts),
-        tuple(subcorolla_inclusion(t, v) for v in verts),
+        tuple(len(kids[v]) for v in verts),
+        tuple(_subcorolla(t, v) for v in verts),
         links,
     )
 
@@ -994,18 +999,23 @@ def _grafting(arities):
     """The tree grafting a corolla of each arity in `arities` onto the
     inputs of a root corolla; the maps of the root corolla and of each slot
     corolla into it, in that order; and the map of the corolla on all its
-    leaves, slot by slot."""
-    # cmap sends the raw address (j,) of slot j and (j, i) of its i-th leaf
-    # to their canonical addresses in the tree
-    canon, cmap = canonicalize_node((tuple((((None, None),) * k, None) for k in arities), None))
-    tree = Tree(canon, _canonical=True)
-    maps = [{(): ()} | {(j,): cmap[(j,)] for j in range(len(arities))}]
-    for j, k in enumerate(arities):
-        maps.append({(): cmap[(j,)]} | {(i,): cmap[(j, i)] for i in range(k)})
-    family = tuple(OmegaMorphism(corolla(len(mp) - 1), tree, mp, _checked=True) for mp in maps)
-    leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
-    total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
-    return tree, family, OmegaMorphism(corolla(len(leaves)), tree, total_map, _checked=True)
+    leaves, slot by slot.
+
+    A k-corolla's term sorts before a (k+1)-corolla's, so the canonical tree
+    holds the slots stably sorted by arity, and each slot's edge is followed
+    by its leaves in preorder."""
+    order = sorted(range(len(arities)), key=arities.__getitem__)
+    tree = Tree((tuple((((LEAF, None),) * arities[j], None) for j in order), None), _canonical=True)
+    slot_edge, next_id = [0] * len(arities), 1
+    for j in order:
+        slot_edge[j], next_id = next_id, next_id + 1 + arities[j]
+    slots = [tuple(range(e, e + 1 + k)) for e, k in zip(slot_edge, arities)]
+    family = tuple(
+        OmegaMorphism._from_ids(corolla(len(ids) - 1), tree, ids)
+        for ids in [(0, *slot_edge), *slots]
+    )
+    leaves = tuple(e for ids in slots for e in ids[1:])
+    return tree, family, OmegaMorphism._from_ids(corolla(len(leaves)), tree, (0, *leaves))
 
 
 class ReconstructedOperad(FiniteOperad):

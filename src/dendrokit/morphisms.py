@@ -26,21 +26,28 @@ an edge subset only ever leaves out closed branches, so no candidate is
 validated and dropped.  Extended corollas are read off the degeneracy
 chain of `shorten`.
 
+Maps work on edge ids (`Tree.index`): a morphism holds the id of each
+source edge's image, in source preorder, and hom sets, validation, the
+isomorphism test, composition, faces, degeneracies and factorization read
+and build those id tuples.  Ids sort like addresses, so every order is the
+order of the address API, which decodes ids only when it is read (`map`,
+calls, `to_json`, `repr`).
+
 Three memos share one bound, ``_CACHE_SIZE`` entries each, and nothing
 per tree is rebuilt per call:
 
-- the operation table of a tree: for every edge its input sets in order,
-  as a frozenset for membership (`validate_morphism`, `TreeOperad`) and
+- the operation table of a tree: for every edge id its input sets of ids
+  in order, as a frozenset for membership (validation, `TreeOperad`) and
   grouped by arity (`hom_set`);
 - the elementary faces of a tree, each with its image and its inverse
-  edge map, which `factorize` peels against;
+  over ids, which `factorize` peels against;
 - the degeneracy per (tree, unary vertex), so `factorize`, `degeneracies`,
   `shorten`, the dendroidal carrier closure and `materialize` collapse each
   pair once.
 
-Memoized morphisms are shared; `OmegaMorphism.map` hands out a copy of the
-edge map.  `hom_set` builds each map as one tuple of images and a
-factorization's composite is checked as one composed edge map.
+Memoized morphisms are shared; `OmegaMorphism.map` hands out a new dict.
+`hom_set` builds each map as one tuple of image ids and a factorization's
+composite is checked as one composed id tuple.
 """
 
 from __future__ import annotations
@@ -148,9 +155,9 @@ def _op_exists(t, output, inputs):
 
 class _EdgeOperations(NamedTuple):
     """The operations (I; e) of a tree's operad into one edge `e`, by input
-    set: ``sets`` in order of their sorted tuples, ``members`` for
-    membership and ``by_arity`` mapping each size to its sorted tuples, in
-    the order of ``sets``."""
+    set of edge ids: ``sets`` in order of their sorted tuples, ``members``
+    for membership and ``by_arity`` mapping each size to its sorted tuples,
+    in the order of ``sets``."""
 
     sets: tuple
     members: frozenset
@@ -159,21 +166,20 @@ class _EdgeOperations(NamedTuple):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _input_sets(t: Tree):
-    """The operation table of `t`: an `_EdgeOperations` for every edge.
+    """The operation table of `t`: an `_EdgeOperations` for every edge id.
 
     The identity set {e} is always present.  The empty set is present
     exactly when the branch above `e` is closed: stumps contribute it as the
-    empty union over their zero inputs and it propagates downward.
+    empty union over their zero inputs and it propagates downward.  A
+    child's id is larger than its parent's, so the edges are filled in
+    reverse preorder.
     """
-    table = {}
-
-    def rec(e):
-        if e in table:
-            return table[e].members
-        sets = {frozenset({e})}
-        if not t.is_leaf(e):
-            options = [rec(c) for c in t.children(e)]
-            for combo in itertools.product(*options):
+    kids = t.index.kids
+    table = [None] * len(kids)
+    for e in reversed(range(len(kids))):
+        sets = {frozenset((e,))}
+        if kids[e] is not None:
+            for combo in itertools.product(*(table[c].members for c in kids[e])):
                 sets.add(frozenset().union(*combo))
         ordered = sorted((tuple(sorted(s)), s) for s in sets)
         by_arity = {}
@@ -184,99 +190,92 @@ def _input_sets(t: Tree):
             frozenset(sets),
             {n: tuple(keys) for n, keys in by_arity.items()},
         )
-        return table[e].members
-
-    for e in t.edges:
-        rec(e)
-    return table
+    return tuple(table)
 
 
 # -- morphisms -------------------------------------------------------------
 
 
 class OmegaMorphism:
-    """A validated map of trees, stored as a total edge map.
+    """A validated map of trees, stored as a total edge map: ``_ids[i]`` is
+    the id of the image of source edge i (see `Tree.index`).  The address
+    views (`map`, calls, `to_json`, `repr`) decode it when read.
 
     Construction raises DomainError when some source vertex does not land on
     an operation of the target; use :func:`validate_morphism` to test first.
     """
 
-    __slots__ = ("source", "target", "_map", "_items")
+    __slots__ = ("source", "target", "_ids")
 
     def __init__(self, source: Tree, target: Tree, edge_map, _checked=False):
         self.source = source
         self.target = target
-        self._map = dict(edge_map)
+        edge_map = dict(edge_map)
         try:
-            self._items = tuple(self._map[e] for e in source.edges)
-            total = len(self._map) == len(self._items)
+            items = tuple(edge_map[e] for e in source.edges)
+            total = len(edge_map) == len(items)
         except KeyError:
             total = False
         if not total:
             raise DomainError("edge map is not total on the source tree")
-        if not _checked and not validate_morphism(source, target, self._map):
+        self._ids = tuple(map(target.index.ids.get, items))
+        if None in self._ids or not (_checked or _valid(source, target, self._ids)):
             raise DomainError(
                 "edge map is not a morphism of trees",
                 {"source": source.term, "target": target.term},
             )
 
     @classmethod
-    def _from_images(cls, source: Tree, target: Tree, images):
-        """The map sending ``source.edges[i]`` to ``images[i]``, taken as
-        valid and total without checking."""
+    def _from_ids(cls, source: Tree, target: Tree, ids):
+        """The map sending source edge id i to target edge id ``ids[i]``,
+        taken as valid and total without checking."""
         m = cls.__new__(cls)
         m.source = source
         m.target = target
-        m._items = images
-        m._map = dict(zip(source.edges, images))
+        m._ids = ids
         return m
 
     @property
+    def _items(self):
+        """The image addresses, in the order of the source edges."""
+        return tuple(map(self.target.edges.__getitem__, self._ids))
+
+    @property
     def map(self):
-        return dict(self._map)
+        return dict(zip(self.source.edges, self._items))
 
     def __call__(self, addr):
-        return self._map[addr]
+        return self.target.edges[self._ids[self.source.index.ids[addr]]]
 
     def is_injective(self):
-        return len(set(self._items)) == len(self._items)
+        return len(set(self._ids)) == len(self._ids)
 
     def image(self):
         return frozenset(self._items)
 
     def is_isomorphism(self):
-        """Bijective and child-relation preserving (hence invertible)."""
-        if self.source.key != self.target.key:
-            return False
-        if len(set(self._items)) != len(self.target.edges):
-            return False
-        for e in self.source.edges:
-            if self.source.is_leaf(e):
-                if not self.target.is_leaf(self._map[e]):
-                    return False
-            else:
-                img = {self._map[c] for c in self.source.children(e)}
-                if img != set(self.target.children(self._map[e])):
-                    return False
-        return True
+        """Bijective and structure preserving (hence invertible)."""
+        return _is_isomorphism(self.source, self.target, self._ids)
 
     def then(self, other: "OmegaMorphism") -> "OmegaMorphism":
         """Composite: self followed by `other`."""
         if self.target != other.source:
             raise DomainError("morphisms are not composable")
-        composite = {e: other._map[t] for e, t in self._map.items()}
-        return OmegaMorphism(self.source, other.target, composite, _checked=True)
+        return OmegaMorphism._from_ids(
+            self.source, other.target, tuple(map(other._ids.__getitem__, self._ids))
+        )
 
     @classmethod
     def identity(cls, t: Tree):
-        return cls(t, t, {e: e for e in t.edges}, _checked=True)
+        return cls._from_ids(t, t, tuple(range(len(t.edges))))
 
     def to_json(self):
+        # the source edges are sorted, so the pairs come in address order
         return {
             "source_key": self.source.term,
             "target_key": self.target.term,
             "edge_map": {
-                format_address(s): format_address(t) for s, t in sorted(self._map.items())
+                format_address(s): format_address(t) for s, t in zip(self.source.edges, self._items)
             },
         }
 
@@ -294,35 +293,56 @@ class OmegaMorphism:
             isinstance(other, OmegaMorphism)
             and self.source == other.source
             and self.target == other.target
-            and self._items == other._items
+            and self._ids == other._ids
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self._items))
+        return hash((self.source, self.target, self._ids))
 
     def __repr__(self):
         pairs = ", ".join(
             f"{format_address(s) or 'r'}>{format_address(t) or 'r'}"
-            for s, t in sorted(self._map.items())
+            for s, t in zip(self.source.edges, self._items)
         )
         return f"OmegaMorphism({self.source.term} -> {self.target.term}; {pairs})"
 
 
+def _is_isomorphism(source: Tree, target: Tree, ids):
+    """True iff the map sending source edge i to target edge ``ids[i]`` is
+    bijective, sends leaves to leaves and each edge's parent to the parent
+    of its image."""
+    if source.key != target.key or len(set(ids)) != len(ids):
+        return False
+    s, t = source.index, target.index
+    for i, j in enumerate(ids):
+        if (s.kids[i] is None) != (t.kids[j] is None):
+            return False
+        p = s.parent[i]
+        if t.parent[j] != (ids[p] if p >= 0 else -1):
+            return False
+    return True
+
+
 def validate_morphism(source: Tree, target: Tree, edge_map) -> bool:
-    """True iff every source vertex lands on an operation of the target."""
+    """True iff the edge map is total and every source vertex lands on an
+    operation of the target."""
     if set(edge_map) != set(source.edges):
         return False
+    ids = tuple(map(target.index.ids.get, (edge_map[e] for e in source.edges)))
+    return None not in ids and _valid(source, target, ids)
+
+
+def _valid(source: Tree, target: Tree, ids):
+    """True iff every source vertex lands on an operation of the target
+    under the map sending source edge i to target edge ``ids[i]``."""
     table = _input_sets(target)
-    if any(v not in table for v in edge_map.values()):
-        return False
-    for v in source.vertices:
-        sig = [edge_map[c] for c in source.children(v)]
-        if len(set(sig)) != len(sig):
-            # repeated colors occur only in the identity operation
-            return False
-        if sig == [edge_map[v]]:
+    for v, kids in enumerate(source.index.kids):
+        if kids is None:
             continue
-        if frozenset(sig) not in table[edge_map[v]].members:
+        sig = frozenset(map(ids.__getitem__, kids))
+        # an operation has distinct inputs; the identity's set {e} is in
+        # every edge's table
+        if len(sig) != len(kids) or sig not in table[ids[v]].members:
             return False
     return True
 
@@ -337,53 +357,54 @@ def hom_set(source: Tree, target: Tree, budget=None):
     an operation of the target with matching arity, so the naive
     ``|edges(target)| ** |edges(source)|`` space is never materialized; that
     proxy is still what the budget bounds and reports.  A branch yields the
-    images of its edges in source preorder, which is how the source edges of
-    a whole map are ordered too, so each map is one tuple of images.
+    image ids of its edges in source preorder, which is how the source edges
+    of a whole map are ordered too, so each map is one tuple of ids; ids
+    sort like addresses, so the maps come in the order of their images.
     """
     charge("hom_set", len(target.edges) ** len(source.edges), budget)
     table = _input_sets(target)
+    kids_of = source.index.kids
 
-    def branch(s_addr, t_addr):
-        head = (t_addr,)
-        if source.is_leaf(s_addr):
+    def branch(s, t):
+        head = (t,)
+        kids = kids_of[s]
+        if kids is None:
             return [head]
-        kids = source.children(s_addr)
         out = []
-        for iset in table[t_addr].by_arity.get(len(kids), ()):
+        for iset in table[t].by_arity.get(len(kids), ()):
             for assignment in itertools.permutations(iset):
                 subs = []
                 for kid, tgt in zip(kids, assignment):
-                    sub = branch(kid, tgt)
+                    sub = [(tgt,)] if kids_of[kid] is None else branch(kid, tgt)
                     if not sub:
                         break
                     subs.append(sub)
                 else:
                     for combo in itertools.product(*subs):
-                        out.append(head + tuple(itertools.chain.from_iterable(combo)))
+                        out.append(sum(combo, head))
         return out
 
     results = []
-    for t_addr in target.edges:
-        results.extend(branch((), t_addr))
+    for t in range(len(target.edges)):
+        results.extend(branch(0, t))
     results.sort()
-    return [OmegaMorphism._from_images(source, target, images) for images in results]
+    return [OmegaMorphism._from_ids(source, target, images) for images in results]
 
 
 # -- faces and degeneracies --------------------------------------------------
 
 
 def _finish(raw_node, raw_map):
-    """Canonicalize a raw node; returns (tree, {canonical addr: payload}).
-    The keys are the tree's own address tuples, so a morphism built on them
-    holds no second copy of the tree's addresses."""
+    """Canonicalize a raw node; returns (tree, the payloads of `raw_map`,
+    keyed by raw address, in the order of the tree's edges).  The address
+    map of the canonicalization comes in the canonical preorder."""
     canon, cmap = canonicalize_node(raw_node)
-    tree = Tree(canon, _canonical=True)
-    own = dict(zip(tree.edges, tree.edges))
-    return tree, {own[cmap[raw]]: payload for raw, payload in raw_map.items()}
+    return Tree(canon, _canonical=True), tuple(map(raw_map.__getitem__, cmap))
 
 
-def _induced(t: Tree, kept, base=(), leaf=None) -> OmegaMorphism:
-    """The inclusion into `t` of the tree on the edges `kept` above `base`.
+def _induced(t: Tree, kept, base=0, leaf=None) -> OmegaMorphism:
+    """The inclusion into `t` of the tree on the edge ids `kept` above the
+    edge id `base`.
 
     A kept edge's inputs are its kept children.  A dropped child with a
     vertex is replaced by its own kept children, one level deep: the only
@@ -394,34 +415,35 @@ def _induced(t: Tree, kept, base=(), leaf=None) -> OmegaMorphism:
     has increasing images after canonicalization: the map is the least of
     its orbit under the source's automorphisms.
     """
-    raw_map = {}  # raw address -> address in t, each built once from its parent's
+    edges, kids = t.edges, t.index.kids
+    raw_map = {}  # raw address -> id in t, each address built once from its parent's
 
     def rec(e, raw_addr):
         raw_map[raw_addr] = e
-        children, label = t.node_at(e)
-        if children is LEAF or e == leaf:
+        label = t.label(edges[e])
+        if kids[e] is None or e == leaf:
             return (LEAF, label)
         raw_children = []
-        for c in t.children(e):
+        for c in kids[e]:
             if c in kept:
                 spliced = (c,)
-            elif t.is_leaf(c):
+            elif kids[c] is None:
                 continue
             else:
-                spliced = [g for g in t.children(c) if g in kept]
+                spliced = [g for g in kids[c] if g in kept]
             for g in spliced:
                 raw_children.append(rec(g, raw_addr + (len(raw_children),)))
         return (tuple(raw_children), label)
 
-    tree, addr_map = _finish(rec(base, ()), raw_map)
-    return OmegaMorphism(tree, t, addr_map, _checked=True)
+    tree, ids = _finish(rec(base, ()), raw_map)
+    return OmegaMorphism._from_ids(tree, t, ids)
 
 
 def contract_inner_edge(t: Tree, edge) -> OmegaMorphism:
     """Contract the inner edge `edge`; returns the face (t/edge) -> t."""
     if edge not in t.inner_edges:
         raise DomainError("not an inner edge", {"address": format_address(edge)})
-    return _induced(t, frozenset(t.edges) - {edge})
+    return _induced(t, frozenset(range(len(t.edges))) - {t.index.ids[edge]})
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -431,27 +453,28 @@ def degeneracy_at(t: Tree, unary) -> OmegaMorphism:
     (tree, address), so callers share one morphism."""
     if t.is_leaf(unary) or len(t.children(unary)) != 1:
         raise DomainError("not a unary vertex", {"address": format_address(unary)})
-    child = unary + (0,)
-    raw_map = {}  # raw address -> address in t, each built once from its parent's
+    index = t.index
+    u = index.ids[unary]
+    (child,) = index.kids[u]
+    raw_map = {}  # raw address -> id in t, each address built once from its parent's
 
-    def rec(node, addr, raw_addr):
-        children, label = node
-        if addr == unary:
-            kids, sub_label = rec(children[0], child, raw_addr)
-            raw_map[raw_addr] = unary
+    def rec(e, raw_addr):
+        label = t.label(t.edges[e])
+        if e == u:
+            kids, sub_label = rec(child, raw_addr)
+            raw_map[raw_addr] = u
             return (kids, label if label is not None else sub_label)
-        raw_map[raw_addr] = addr
-        if children is LEAF:
-            return node
-        raw_children = []
-        for i, kid in enumerate(children):
-            raw_children.append(rec(kid, addr + (i,), raw_addr + (i,)))
-        return (tuple(raw_children), label)
+        raw_map[raw_addr] = e
+        if index.kids[e] is None:
+            return (LEAF, label)
+        return (tuple(rec(c, raw_addr + (i,)) for i, c in enumerate(index.kids[e])), label)
 
-    tree, addr_map = _finish(rec(t.node_at(()), (), ()), raw_map)
-    inverse = {orig: new for new, orig in addr_map.items()}
-    sigma = {e: inverse[unary if e == child else e] for e in t.edges}
-    return OmegaMorphism(t, tree, sigma, _checked=True)
+    tree, origins = _finish(rec(0, ()), raw_map)
+    new = [None] * len(t.edges)
+    for j, e in enumerate(origins):
+        new[e] = j
+    new[child] = new[u]
+    return OmegaMorphism._from_ids(t, tree, tuple(new))
 
 
 def degeneracies(t: Tree):
@@ -483,30 +506,37 @@ class Face:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _faces(t: Tree):
-    """The elementary faces of `t` in order, each with its image and its
-    inverse edge map (target address -> source address)."""
-    # the key is the canonical unlabelled term, so edge addresses carry over
+    """The elementary faces of `t` in order, each with its image, a frozenset
+    of edge ids, and its inverse, a list sending each target edge id to its
+    source edge id (None off the image)."""
+    # the key is the canonical unlabelled term, so edge ids carry over
     shape = parse_tree(t.key) if t.labels else t
-    edges = frozenset(shape.edges)
-    built = [(_induced(shape, edges - {e}), e) for e in shape.inner_edges]
-    for v in shape.vertices:
+    kids = shape.index.kids
+    edges = frozenset(range(len(kids)))
+    built = [
+        (_induced(shape, edges - {e}), shape.edges[e])
+        for e in range(1, len(kids))
+        if kids[e] is not None
+    ]
+    for v, inputs in enumerate(kids):
         # outer face at a top vertex: drop it, its edge becomes a leaf
-        kids = shape.children(v)
-        if all(shape.is_leaf(k) for k in kids):
-            built.append((_induced(shape, edges.difference(kids), leaf=v), None))
-    if shape.has_vertex(()):
+        if inputs is not None and all(kids[k] is None for k in inputs):
+            built.append((_induced(shape, edges.difference(inputs), leaf=v), None))
+    if kids[0] is not None:
         # outer face at the root: keep one input's branch, the others being leaves
-        kids = shape.children(())
-        for c in kids:
-            if all(shape.is_leaf(k) for k in kids if k != c):
+        for c in kids[0]:
+            if all(kids[k] is None for k in kids[0] if k != c):
                 built.append((_induced(shape, edges, base=c), None))
-    built.sort(key=lambda pair: (pair[0].source.key, pair[0]._items))
+    built.sort(key=lambda pair: (pair[0].source.key, pair[0]._ids))
     faces = []
     for m, contracted in built:
         if shape is not t:
-            m = OmegaMorphism._from_images(m.source, t, m._items)
+            m = OmegaMorphism._from_ids(m.source, t, m._ids)
         face = Face(m, "outer" if contracted is None else "inner", contracted)
-        faces.append((face, frozenset(m._items), dict(zip(m._items, m.source.edges))))
+        inverse = [None] * len(kids)
+        for i, j in enumerate(m._ids):
+            inverse[j] = i
+        faces.append((face, frozenset(m._ids), inverse))
     return tuple(faces)
 
 
@@ -538,16 +568,16 @@ class Factorization:
     faces: list
 
     def composite(self) -> OmegaMorphism:
-        """The composite of the chain, built as one edge map; each step must
-        start where the previous one ends."""
+        """The composite of the chain, built as one tuple of image ids; each
+        step must start where the previous one ends."""
         chain = self.degeneracies + [self.isomorphism] + [f.morphism for f in self.faces]
         first = chain[0]
-        target, images = first.target, first._items
+        target, images = first.target, first._ids
         for step in chain[1:]:
-            if target != step.source:
+            if target is not step.source and target != step.source:
                 raise DomainError("morphisms are not composable")
-            target, images = step.target, tuple(map(step._map.__getitem__, images))
-        return OmegaMorphism._from_images(first.source, target, images)
+            target, images = step.target, tuple(map(step._ids.__getitem__, images))
+        return OmegaMorphism._from_ids(first.source, target, images)
 
     def to_json(self):
         return {
@@ -561,25 +591,28 @@ def factorize(m: OmegaMorphism) -> Factorization:
     """Factor `m` as degeneracies, then an isomorphism, then elementary
     faces; the composite of the returned witnesses equals `m` exactly."""
     degs = []
-    current = m
+    source, ids = m.source, m._ids
     while True:
-        collapsible = None
-        for v in current.source.vertices:
-            kids = current.source.children(v)
-            if len(kids) == 1 and current(kids[0]) == current(v):
-                collapsible = v
+        # the first unary vertex whose input has the image of its output
+        for v, kids in enumerate(source.index.kids):
+            if kids is not None and len(kids) == 1 and ids[kids[0]] == ids[v]:
                 break
-        if collapsible is None:
+        else:
             break
-        sigma = degeneracy_at(current.source, collapsible)
-        new_map = {}
-        # both image tuples follow the source edges, so this pairs each
+        sigma = degeneracy_at(source, source.edges[v])
+        collapsed = [None] * len(sigma.target.edges)
+        # both id tuples follow the source edges, so this pairs each
         # collapsed edge with the images of its fiber
-        for e2, image in zip(sigma._items, current._items):
-            if new_map.setdefault(e2, image) != image:
+        for e2, image in zip(sigma._ids, ids):
+            if collapsed[e2] is None:
+                collapsed[e2] = image
+            elif collapsed[e2] != image:
                 raise DomainError("inconsistent collapse in factorization")
+        if None in collapsed:
+            raise DomainError("edge map is not total on the source tree")
         degs.append(sigma)
-        current = OmegaMorphism(sigma.target, m.target, new_map, _checked=True)
+        source, ids = sigma.target, tuple(collapsed)
+    current = OmegaMorphism._from_ids(source, m.target, ids)
     if not current.is_injective():
         raise DomainError(
             "valid morphism failed to become injective after degeneracies",
@@ -600,23 +633,20 @@ def _peel(g: OmegaMorphism):
     injective map `g`, or None.  Each step takes the first face, in order,
     whose image holds g's image and through which g lifts validly, and
     goes on with the lift."""
-    chain = []
-    while not g.is_isomorphism():
-        g_image = g.image()
-        for face, image, inverse in _faces(g.target):
-            if not g_image <= image:
-                continue
-            lift = OmegaMorphism._from_images(
-                g.source, face.morphism.source, tuple(map(inverse.__getitem__, g._items))
-            )
-            if validate_morphism(lift.source, lift.target, lift._map):
-                break
+    chain, source, target, ids = [], g.source, g.target, g._ids
+    while not _is_isomorphism(source, target, ids):
+        image = frozenset(ids)
+        for face, face_image, inverse in _faces(target):
+            if image <= face_image:
+                lift = tuple(map(inverse.__getitem__, ids))
+                if _valid(source, face.morphism.source, lift):
+                    break
         else:
             return None
         chain.append(face)
-        g = lift
+        target, ids = face.morphism.source, lift
     chain.reverse()
-    return chain, g
+    return chain, OmegaMorphism._from_ids(source, target, ids)
 
 
 # -- subtrees ----------------------------------------------------------------
@@ -653,26 +683,29 @@ def subtrees(t: Tree, budget=None):
 
     The edge subsets are built valid rather than filtered: below an included
     vertex a child branch may be left out only when it is closed, i.e. when
-    the empty input set carries an operation into it."""
+    the empty input set carries an operation into it.  They are built as
+    sets of edge ids, which sort like the address sets they decode to."""
     charge("subtrees", 2 ** len(t.edges), budget)
-    closed = {e for e, ops in _input_sets(t).items() if frozenset() in ops.members}
+    kids = t.index.kids
+    closed = {e for e, ops in enumerate(_input_sets(t)) if frozenset() in ops.members}
 
     def rooted(e):
-        if t.is_leaf(e):
-            return [frozenset({e})]
-        options = [([None] if c in closed else []) + rooted(c) for c in t.children(e)]
+        if kids[e] is None:
+            return [frozenset((e,))]
+        options = [([None] if c in closed else []) + rooted(c) for c in kids[e]]
         out = []
         for combo in itertools.product(*options):
             chosen = [x for x in combo if x is not None]
-            out.append(frozenset({e}).union(*chosen) if chosen else frozenset({e}))
+            out.append(frozenset((e,)).union(*chosen) if chosen else frozenset((e,)))
         return out
 
+    found = [(subset, e) for e in range(len(kids)) for subset in rooted(e)]
+    found.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
     results = []
-    for e in t.edges:
-        for subset in rooted(e):
-            incl = _induced(t, subset, base=e)
-            results.append(SubtreeInclusion(t, subset, incl.source, incl))
-    results.sort(key=lambda s: (len(s.edge_subset), tuple(sorted(s.edge_subset))))
+    for subset, e in found:
+        incl = _induced(t, subset, base=e)
+        edge_subset = frozenset(map(t.edges.__getitem__, subset))
+        results.append(SubtreeInclusion(t, edge_subset, incl.source, incl))
     return results
 
 

@@ -322,9 +322,10 @@ class TreeOperad(FiniteOperad):
             return ((inputs, output),)
         if len(set(inputs)) != len(inputs):
             return ()
-        ops = self._table.get(output)
-        if ops is not None and frozenset(inputs) in ops.members:
-            return ((inputs, output),)
+        ids = self.tree.index.ids
+        if output in ids and all(i in ids for i in inputs):
+            if frozenset(map(ids.__getitem__, inputs)) in self._table[ids[output]].members:
+                return ((inputs, output),)
         return ()
 
     def identity(self, color):
@@ -344,12 +345,19 @@ class TreeOperad(FiniteOperad):
             raise DomainError("permuted operation does not exist in tree operad")
         return result[0]
 
+    def _address_sets(self):
+        """Per edge address, its operations' input sets as sorted address
+        tuples, in the order of the table."""
+        edges = self.tree.edges
+        for e, ops in zip(edges, self._table):
+            yield e, [tuple(map(edges.__getitem__, sorted(iset))) for iset in ops.sets]
+
     def nonempty_signatures(self, max_arity, budget=None):
         sigs = []
-        for e, ops in self._table.items():
-            for iset in ops.sets:
+        for e, isets in self._address_sets():
+            for iset in isets:
                 if len(iset) <= max_arity:
-                    for perm in itertools.permutations(sorted(iset)):
+                    for perm in itertools.permutations(iset):
                         sigs.append(Signature(perm, e))
         sigs.sort(key=lambda s: (len(s.inputs), s.output, s.inputs))
         charge("tree operad signatures", len(sigs), budget)
@@ -357,12 +365,12 @@ class TreeOperad(FiniteOperad):
 
     def non_identity_input_sets(self):
         """Unordered non-identity signatures with a nonempty hom-set."""
-        out = []
-        for e in self.tree.edges:
-            for iset in self._table[e].sets:
-                if iset != frozenset({e}):
-                    out.append((iset, e))
-        return out
+        return [
+            (frozenset(iset), e)
+            for e, isets in self._address_sets()
+            for iset in isets
+            if iset != (e,)
+        ]
 
     def element_str(self, element):
         from .trees import format_address

@@ -17,7 +17,11 @@ Trees are stored canonically: the children of every vertex are sorted by the
 recursive lexicographic order of their unlabelled sub-terms, with ``*``
 ordered before ``(``.  Two trees are isomorphic iff their ``key`` strings are
 equal.  Edges are addressed by their path of child indices in canonical
-order; the root is the empty path ``()``.
+order; the root is the empty path ``()``.  Each tree also numbers its edges
+0..n-1 in that same order, the canonical preorder: `Tree.index` holds the
+id of every address, the id of each edge's parent and the ids of each
+vertex's inputs, built on first use.  Ids sort like addresses, so code that
+works on ids keeps the order of the address API, which decodes them.
 
 All values are immutable after construction and all operations are pure
 functions.
@@ -30,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError, charge
 
@@ -102,11 +107,23 @@ def _canonicalize(node):
     return canon, key, term, (perm, [k[3] for k in kids])
 
 
+class EdgeIndex(NamedTuple):
+    """A tree's edges as ids 0..n-1 in canonical preorder, the order of
+    `Tree.edges`: `ids` maps each address to its id, `parent[i]` is the id
+    of the edge below edge i (-1 for the root) and `kids[i]` the ids of the
+    inputs of its vertex, None for a leaf."""
+
+    ids: dict
+    parent: tuple
+    kids: tuple
+
+
 class Tree:
     """A canonical rooted tree.  Hashable; equality includes edge labels."""
 
     __slots__ = (
-        "_node", "_nodes", "_children", "_edges", "_key", "_term", "_hash", "_leaves", "_vertices"
+        "_node", "_nodes", "_children", "_edges", "_key", "_term", "_hash", "_leaves", "_vertices",
+        "_index",
     )
 
     def __init__(self, node, _canonical=False):
@@ -123,6 +140,7 @@ class Tree:
         self._hash = hash(node)
         self._leaves = tuple(a for a in self._edges if nodes[a][0] is LEAF)
         self._vertices = tuple(a for a in self._edges if nodes[a][0] is not LEAF)
+        self._index = None
 
     # -- basic structure -------------------------------------------------
 
@@ -141,8 +159,27 @@ class Tree:
 
     @property
     def edges(self):
-        """All edge addresses in lexicographic (DFS preorder) order."""
+        """All edge addresses in lexicographic (DFS preorder) order; the
+        address of edge id i is ``edges[i]``."""
         return self._edges
+
+    @property
+    def index(self) -> EdgeIndex:
+        """The edge ids of the tree (:class:`EdgeIndex`), built when first
+        read, so that trees no map is built on never pay for them."""
+        if self._index is None:
+            ids = dict(zip(self._edges, range(len(self._edges))))
+            children = self._children
+            kids = tuple(
+                None if a not in children else tuple(map(ids.__getitem__, children[a]))
+                for a in self._edges
+            )
+            parent = [-1] * len(kids)
+            for i, ks in enumerate(kids):
+                for k in ks or ():
+                    parent[k] = i
+            self._index = EdgeIndex(ids, tuple(parent), kids)
+        return self._index
 
     def node_at(self, addr):
         try:
@@ -152,9 +189,6 @@ class Tree:
 
     def is_leaf(self, addr):
         return self.node_at(addr)[0] is LEAF
-
-    def has_vertex(self, addr):
-        return self.node_at(addr)[0] is not LEAF
 
     def children(self, addr):
         """Input edges of the vertex carried by `addr` (empty for stumps);
@@ -195,7 +229,7 @@ class Tree:
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Tree) and self._node == other._node
+        return other is self or (isinstance(other, Tree) and self._node == other._node)
 
     def __hash__(self):
         return self._hash
@@ -500,6 +534,33 @@ def _shape_levels(max_size, max_inputs, reduced_only, leaf_size):
     return levels
 
 
+def _charge_shapes(operation, max_size, max_inputs, reduced_only, leaf_size, budget):
+    """Charge the number of shapes `_shape_levels` builds, counted without
+    building one, and return the largest size worth building.
+
+    A vertex's children are a multiset of shapes: m children among the n
+    shapes of one size are comb(n + m - 1, m) choices, and each shape is
+    one choice per size of its children.  The running total is charged
+    level by level, so a refusal reports the count up to the first level
+    past the budget.  Without vertex inputs nothing is larger than a stump;
+    with them, every level holds a chain of unary vertices as deep as its
+    size, so a nonempty level past MAX_TREE_DEPTH is refused."""
+    if max_inputs < 1:
+        max_size = min(max_size, 1)
+    counts, total = [], 0
+    for size in range(max_size + 1):
+        count = int(size == leaf_size and not reduced_only)
+        for k in range(max_inputs + 1):
+            for sizes in _size_multisets(size - 1, k, leaf_size):
+                count += math.prod(math.comb(counts[s] + mult - 1, mult) for s, mult in sizes)
+        if count and size > MAX_TREE_DEPTH:
+            raise DomainError("trees would nest too deeply", {"max_depth": MAX_TREE_DEPTH})
+        counts.append(count)
+        total += count
+        charge(operation, total, budget)
+    return max_size
+
+
 def enumerate_trees(max_edges, max_inputs, reduced_only=False, budget=None):
     """One canonical representative per isomorphism class of trees with at
     most `max_edges` edges and every vertex having at most `max_inputs`
@@ -507,11 +568,11 @@ def enumerate_trees(max_edges, max_inputs, reduced_only=False, budget=None):
 
     Trees come by edge count, and within one count in key order with the
     leaf first; the shapes are built bottom-up on every call, nothing is
-    cached."""
+    cached.  The budget is charged their exact number."""
     if max_edges < 1:
         raise DomainError("max_edges must be >= 1", {"max_edges": max_edges})
-    charge("enumerate_trees", 2 ** min(max_edges * 2, 64), budget)
-    levels = _shape_levels(max_edges, max_inputs, bool(reduced_only), leaf_size=1)
+    top = _charge_shapes("enumerate_trees", max_edges, max_inputs, bool(reduced_only), 1, budget)
+    levels = _shape_levels(top, max_inputs, bool(reduced_only), leaf_size=1)
     return [Tree(node, _canonical=True) for level in levels for node in level]
 
 
@@ -520,6 +581,8 @@ def enumerate_trees_by_vertices(max_vertices, max_inputs, reduced_only=False, bu
     and ordered by vertex count."""
     if max_vertices < 0:
         raise DomainError("max_vertices must be >= 0", {"max_vertices": max_vertices})
-    charge("enumerate_trees_by_vertices", (max_inputs + 2) ** min(2 * max_vertices + 1, 24), budget)
-    levels = _shape_levels(max_vertices, max_inputs, bool(reduced_only), leaf_size=0)
+    top = _charge_shapes(
+        "enumerate_trees_by_vertices", max_vertices, max_inputs, bool(reduced_only), 0, budget
+    )
+    levels = _shape_levels(top, max_inputs, bool(reduced_only), leaf_size=0)
     return [Tree(node, _canonical=True) for level in levels for node in level]

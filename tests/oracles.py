@@ -58,6 +58,10 @@ library's are a sequence view that decodes a value when it is read.  The
 reference free-operad normal form re-serializes every sub-term at every
 level to order the children of each vertex; the library builds each
 representative and its serialization together, bottom-up, and keeps both.
+The reference map validation and isomorphism test walk address dicts
+through `children` and `is_leaf`; the library's test tuples of edge ids.
+The reference grafted tree of the reconstruction is canonicalized from its
+raw term; the library's is laid out from its sorted arity tuple.
 `edges_above` and `max_operation_arity` serve only these oracles.
 """
 
@@ -84,7 +88,6 @@ from dendrokit.morphisms import (
     OmegaMorphism,
     OpWitness,
     SubtreeInclusion,
-    _finish,
     _input_sets,
     contract_inner_edge,
     degeneracy_at,
@@ -254,7 +257,7 @@ def edges_above(t: Tree, addr):
 
 def max_operation_arity(t: Tree) -> int:
     """Largest arity of any operation in the operad generated by `t`."""
-    return max(len(i) for ops in _input_sets(t).values() for i in ops.sets)
+    return max(len(i) for ops in _input_sets(t) for i in ops.sets)
 
 
 def in_omega_level(t: Tree, n: int) -> bool:
@@ -440,7 +443,9 @@ def _induced_inclusion(t: Tree, subset):
         return (tuple(raw_children), label), out_map
 
     raw, raw_map = build(base)
-    tree, addr_map = _finish(raw, raw_map)
+    canon, cmap = canonicalize_node(raw)
+    tree = Tree(canon, _canonical=True)
+    addr_map = {cmap[raw_addr]: orig for raw_addr, orig in raw_map.items()}
     if not validate_morphism(tree, t, addr_map):
         return None
     return OmegaMorphism(tree, t, addr_map, _checked=True)
@@ -692,9 +697,9 @@ def naive_hom_set(source: Tree, target: Tree):
     branch merges its children's dicts, and the maps are sorted by their
     images in source preorder."""
     by_arity = {}
-    for e, ops in _input_sets(target).items():
+    for e, ops in zip(target.edges, _input_sets(target)):
         for iset in ops.sets:
-            by_arity.setdefault((e, len(iset)), []).append(tuple(sorted(iset)))
+            by_arity.setdefault((e, len(iset)), []).append(tuple(sorted(map(target.edges.__getitem__, iset))))
 
     def branch(s_addr, t_addr):
         base = {s_addr: t_addr}
@@ -746,6 +751,55 @@ def naive_peel(g: OmegaMorphism):
             chain, iso = sub
             return chain + [face], iso
     return None
+
+
+@lru_cache(maxsize=64)
+def _address_operations(t: Tree):
+    """Per edge address of `t`, the input sets of the operations into it,
+    read off the substitution closure."""
+    table = {e: set() for e in t.edges}
+    for inputs, output in tree_operation_closure(t):
+        table[output].add(frozenset(inputs))
+    return table
+
+
+def address_validate_morphism(source: Tree, target: Tree, edge_map) -> bool:
+    """`validate_morphism` on address dicts: every source vertex lands on an
+    operation of the target, tested per vertex on input address sets."""
+    if set(edge_map) != set(source.edges):
+        return False
+    table = _address_operations(target)
+    if any(v not in table for v in edge_map.values()):
+        return False
+    for v in source.vertices:
+        sig = [edge_map[c] for c in source.children(v)]
+        if len(set(sig)) != len(sig):
+            # repeated colors occur only in the identity operation
+            return False
+        if sig == [edge_map[v]]:
+            continue
+        if frozenset(sig) not in table[edge_map[v]]:
+            return False
+    return True
+
+
+def address_is_isomorphism(m: OmegaMorphism) -> bool:
+    """`OmegaMorphism.is_isomorphism` as a walk over addresses: bijective,
+    leaves to leaves, and every vertex's inputs onto its image's inputs."""
+    edge_map = m.map
+    if m.source.key != m.target.key:
+        return False
+    if len(set(edge_map.values())) != len(m.target.edges):
+        return False
+    for e in m.source.edges:
+        if m.source.is_leaf(e):
+            if not m.target.is_leaf(edge_map[e]):
+                return False
+        else:
+            img = {edge_map[c] for c in m.source.children(e)}
+            if img != set(m.target.children(edge_map[e])):
+                return False
+    return True
 
 
 def chained_composite(fact: Factorization) -> OmegaMorphism:
@@ -1356,6 +1410,23 @@ def grafted_two_level_tree(n, child_arities):
     return tree, slots
 
 
+def grafting_by_canonicalization(arities):
+    """`dendroidal._grafting` with its tree and maps read off a general
+    canonicalization: the grafted tree, the maps of the root and slot
+    corollas into it, and the map of the corolla on all its leaves."""
+    # cmap sends the raw address (j,) of slot j and (j, i) of its i-th leaf
+    # to their canonical addresses in the tree
+    canon, cmap = canonicalize_node((tuple((((None, None),) * k, None) for k in arities), None))
+    tree = Tree(canon, _canonical=True)
+    maps = [{(): ()} | {(j,): cmap[(j,)] for j in range(len(arities))}]
+    for j, k in enumerate(arities):
+        maps.append({(): cmap[(j,)]} | {(i,): cmap[(j, i)] for i in range(k)})
+    family = tuple(OmegaMorphism(corolla(len(mp) - 1), tree, mp) for mp in maps)
+    leaves = [cmap[(j, i)] for j, k in enumerate(arities) for i in range(k)]
+    total_map = {(): ()} | {(p,): e for p, e in enumerate(leaves)}
+    return tree, family, OmegaMorphism(corolla(len(leaves)), tree, total_map)
+
+
 class TupleReconstructedOperad(FiniteOperad):
     """The operad carried by a strict-Segal dendroidal set.
 
@@ -1637,7 +1708,7 @@ def tuple_nerve_values(X, t):
     pools."""
     out = []
     for block in X.value_blocks(t).values():
-        colors = tuple(block.coloring[e] for e in t.edges)
+        colors = block.colors
         for decs in itertools.product(*block.pools):
             out.append((colors, decs))
     return tuple(out)

@@ -604,6 +604,20 @@ class TestInputErrors:
         assert payload == {"error": "invalid DENDRO_BUDGET", "detail": {"value": "1e6"}}
 
 
+def test_carrier_is_charged_its_tree_count(monkeypatch):
+    """The 1,021 trees of (4, 4) are charged as 1,021, so a budget far
+    below the old (max_inputs + 2) ** (2 * max_vertices + 1) admits them."""
+    monkeypatch.setenv("DENDRO_BUDGET", "5000000")
+    counts = json.loads(run("nerve", "ass", "--max-vertices", "4", "--max-inputs", "4", "--counts").stdout)
+    assert len(counts["values"]) == 1021
+    monkeypatch.setenv("DENDRO_BUDGET", "1020")
+    proc = run("enum-trees", "--max-vertices", "4", "--max-inputs", "4", "--count", check=False)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["detail"] == {
+        "operation": "enumerate_trees_by_vertices", "estimate": 1021, "budget": 1020,
+    }
+
+
 class TestDeepTerms:
     """Terms nested beyond MAX_TREE_DEPTH are parse errors, not a stack
     overflow."""

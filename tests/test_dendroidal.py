@@ -14,6 +14,7 @@ from dendrokit.dendroidal import (
     _core_count,
     _corolla_boundary,
     _first_repeat,
+    _grafting,
     _restriction_plan,
     _segal_failure,
     _segal_shape,
@@ -537,6 +538,17 @@ class TestTableSets:
             direct = restriction_of(X, m)
             for x in table.values(T):
                 assert derived(x) == direct(x)
+
+
+def test_grafting_is_laid_out_from_the_arities():
+    """The grafted tree and its maps, laid out from the sorted arity tuple,
+    against the same built by canonicalizing the raw term."""
+    for n in range(6):
+        for arities in itertools.product(range(6), repeat=n):
+            if sum(arities) <= 5:
+                tree, family, total = _grafting(arities)
+                want_tree, want_family, want_total = oracles.grafting_by_canonicalization(arities)
+                assert tree == want_tree and family == want_family and total == want_total, arities
 
 
 class TestReconstruction:

@@ -29,6 +29,7 @@ from dendrokit.morphisms import (
 )
 from dendrokit.trees import (
     MAX_TREE_DEPTH,
+    aut_order,
     automorphisms,
     corolla,
     enumerate_trees,
@@ -320,6 +321,65 @@ def test_tree_layer_digest_is_pinned():
         digest.update(json.dumps([f.to_json() for f in elementary_faces(t)], sort_keys=True).encode())
         digest.update(json.dumps([s.to_json() for s in subtrees(t)], sort_keys=True).encode())
     assert digest.hexdigest() == "55ed4161fcf903b09b0b050f54d8b5d871599d4eb7d46c04ed298eff0a6854b2"
+
+
+class TestEdgeIds:
+    """Maps are held as tuples of edge ids; the address views decode them."""
+
+    def test_id_maps_match_their_address_maps(self):
+        c33 = enumerate_trees_by_vertices(3, 3)
+        maps = [m for s, t in itertools.product(c33, repeat=2) for m in hom_set(s, t)]
+        assert len(maps) == 12061
+        for t in c33:
+            maps += [f.morphism for f in elementary_faces(t)] + degeneracies(t)
+        for m in maps:
+            rebuilt = OmegaMorphism(m.source, m.target, m.map)
+            assert rebuilt == m and hash(rebuilt) == hash(m)
+            assert rebuilt.to_json() == m.to_json() and repr(rebuilt) == repr(m)
+            assert m._items == tuple(m.map[e] for e in m.source.edges)
+            assert all(rebuilt(e) == m(e) == m.map[e] for e in m.source.edges)
+
+    def test_validation_and_isomorphism_match_the_address_walks(self):
+        # the address walk raises on a vertex sent to a leaf, where the id
+        # test answers False
+        def address_iso(m):
+            try:
+                return oracles.address_is_isomorphism(m)
+            except DomainError:
+                return False
+
+        trees = enumerate_trees(4, 2)
+        valid = isos = 0
+        for s, t in itertools.product(trees, repeat=2):
+            for values in itertools.product(t.edges, repeat=len(s.edges)):
+                edge_map = dict(zip(s.edges, values))
+                want = oracles.address_validate_morphism(s, t, edge_map)
+                assert validate_morphism(s, t, edge_map) == want
+                m = OmegaMorphism(s, t, edge_map, _checked=True)
+                assert m.is_isomorphism() == address_iso(m), m
+                valid += want
+                isos += m.is_isomorphism()
+                if not want:
+                    with pytest.raises(DomainError, match="not a morphism"):
+                        OmegaMorphism(s, t, edge_map)
+            edge_map = dict(zip(s.edges, itertools.repeat(())))
+            assert not validate_morphism(s, t, {**edge_map, (): (9,)})
+            assert not validate_morphism(s, t, {**edge_map, (9,): ()})
+        assert valid == sum(len(hom_set(s, t)) for s, t in itertools.product(trees, repeat=2))
+        assert isos == sum(aut_order(t) for t in trees)
+
+    def test_constructor_errors_are_unchanged(self):
+        t = parse_tree("(*(**))")
+        with pytest.raises(DomainError) as partial:
+            OmegaMorphism(t, t, {(): ()})
+        assert partial.value.payload() == {"error": "edge map is not total on the source tree", "detail": {}}
+        for edge_map in (dict.fromkeys(t.edges, ()), {**{e: e for e in t.edges}, (1,): (7,)}):
+            with pytest.raises(DomainError) as invalid:
+                OmegaMorphism(t, t, edge_map)
+            assert invalid.value.payload() == {
+                "error": "edge map is not a morphism of trees",
+                "detail": {"source": "(*(**))", "target": "(*(**))"},
+            }
 
 
 class TestTablePathsMatchOracles:

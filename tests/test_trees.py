@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dendrokit.errors import DomainError, ParseError
+from dendrokit.errors import BudgetExceeded, DomainError, ParseError
 from dendrokit.trees import (
     MAX_TREE_DEPTH,
     Tree,
@@ -312,6 +313,39 @@ class TestShapesMatchRecurrences:
                 for t in enumerate_trees_by_vertices(v, max_inputs, reduced_only=reduced_only)
             ]
             assert got == want
+
+
+class TestExactCharge:
+    """Both enumerations charge the exact number of trees they build,
+    counted without building a shape."""
+
+    @staticmethod
+    def assert_charges_its_length(enumerate_, size, max_inputs, reduced_only):
+        n = len(enumerate_(size, max_inputs, reduced_only=reduced_only))
+        assert len(enumerate_(size, max_inputs, reduced_only=reduced_only, budget=n)) == n
+        with pytest.raises(BudgetExceeded) as refused:
+            enumerate_(size, max_inputs, reduced_only=reduced_only, budget=n - 1)
+        assert refused.value.detail["estimate"] == n
+
+    @pytest.mark.parametrize("reduced_only", [False, True])
+    def test_by_vertices(self, reduced_only):
+        for v, k in itertools.product(range(5), range(5)):
+            self.assert_charges_its_length(enumerate_trees_by_vertices, v, k, reduced_only)
+
+    @pytest.mark.parametrize("reduced_only", [False, True])
+    def test_by_edges(self, reduced_only):
+        for e, k in itertools.product(range(1, 8), range(5)):
+            self.assert_charges_its_length(enumerate_trees, e, k, reduced_only)
+
+    def test_no_inputs_stop_at_the_stump(self):
+        assert [t.term for t in enumerate_trees(10**9, 0)] == ["*", "()"]
+        assert [t.term for t in enumerate_trees_by_vertices(10**9, 0)] == ["*", "()"]
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_trees, enumerate_trees_by_vertices])
+    def test_chains_past_the_nesting_bound_are_refused(self, enumerate_):
+        assert len(enumerate_(MAX_TREE_DEPTH, 1)) <= 2 * MAX_TREE_DEPTH + 1
+        with pytest.raises(DomainError, match="nest too deeply"):
+            enumerate_(10**9, 1)
 
 
 def _naive_generate(max_edges, max_inputs):
